@@ -180,36 +180,53 @@ class Parser
     }
 
     Value
+    parseObject()
+    {
+        ++pos_;
+        Value v;
+        v.kind = Value::Kind::Object;
+        if (consume('}'))
+            return v;
+        while (true) {
+            std::string key = parseString();
+            expect(':');
+            v.object.emplace_back(std::move(key), parseValue());
+            if (consume('}'))
+                return v;
+            expect(',');
+        }
+    }
+
+    Value
+    parseArray()
+    {
+        ++pos_;
+        Value v;
+        v.kind = Value::Kind::Array;
+        if (consume(']'))
+            return v;
+        while (true) {
+            v.array.push_back(parseValue());
+            if (consume(']'))
+                return v;
+            expect(',');
+        }
+    }
+
+    Value
     parseValue()
     {
         const char c = peek();
+        if (c == '{' || c == '[') {
+            if (depth_ == kMaxDepth)
+                fail(util::format("nesting deeper than {} levels",
+                                  kMaxDepth));
+            ++depth_;
+            Value v = c == '{' ? parseObject() : parseArray();
+            --depth_;
+            return v;
+        }
         Value v;
-        if (c == '{') {
-            ++pos_;
-            v.kind = Value::Kind::Object;
-            if (consume('}'))
-                return v;
-            while (true) {
-                std::string key = parseString();
-                expect(':');
-                v.object.emplace_back(std::move(key), parseValue());
-                if (consume('}'))
-                    return v;
-                expect(',');
-            }
-        }
-        if (c == '[') {
-            ++pos_;
-            v.kind = Value::Kind::Array;
-            if (consume(']'))
-                return v;
-            while (true) {
-                v.array.push_back(parseValue());
-                if (consume(']'))
-                    return v;
-                expect(',');
-            }
-        }
         if (c == '"') {
             v.kind = Value::Kind::String;
             v.string = parseString();
@@ -248,6 +265,8 @@ class Parser
 
     const std::string &text_;
     size_t pos_ = 0;
+    /** Open arrays/objects around the cursor. */
+    int depth_ = 0;
 };
 
 } // namespace

@@ -65,8 +65,18 @@ struct Value
 };
 
 /**
+ * Deepest array/object nesting parse() accepts. The parser recurses
+ * once per level and reads files other processes write (journal
+ * records, heartbeats, leases, event logs, profiles), so a hostile
+ * or corrupt input must fail with an error, not overflow the stack.
+ * The exports nest a handful of levels; a profile tree two per span.
+ */
+inline constexpr int kMaxDepth = 256;
+
+/**
  * Parse a complete JSON document.
- * @throws std::runtime_error on malformed input
+ * @throws std::runtime_error on malformed input or nesting deeper
+ *         than kMaxDepth
  */
 Value parse(const std::string &text);
 

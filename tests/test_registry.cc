@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "sim/experiment.hh"
 #include "stats/export.hh"
@@ -154,6 +155,40 @@ TEST(Registry, JsonParserRejectsMalformed)
     EXPECT_THROW(stats::json::parse("{\"a\": 1} trailing"),
                  std::runtime_error);
     EXPECT_THROW(stats::fromJson("[1, 2]"), std::runtime_error);
+}
+
+TEST(Registry, JsonParserBoundsNestingDepth)
+{
+    const auto nested = [](int depth) {
+        return std::string(depth, '[') + std::string(depth, ']');
+    };
+    // A hostile 200,000-deep document used to overflow the stack of
+    // the recursive-descent parser (SIGSEGV); now it is a parse error.
+    EXPECT_THROW(stats::json::parse(nested(200'000)),
+                 std::runtime_error);
+    EXPECT_THROW(stats::json::parse(std::string(200'000, '{')),
+                 std::runtime_error);
+    EXPECT_THROW(stats::json::parse(nested(stats::json::kMaxDepth + 1)),
+                 std::runtime_error);
+
+    // Nesting up to the limit, and ordinary mixed documents, parse.
+    const auto deepest =
+        stats::json::parse(nested(stats::json::kMaxDepth));
+    EXPECT_TRUE(deepest.isArray());
+    const auto doc = stats::json::parse(
+        R"({"a": [{"b": [1, {"c": [[]]}]}], "d": {"e": null}})");
+    ASSERT_TRUE(doc.isObject());
+    const auto *a = doc.find("a");
+    ASSERT_NE(a, nullptr);
+    ASSERT_EQ(a->array.size(), 1u);
+    EXPECT_NE(a->array[0].find("b"), nullptr);
+    // Depth is tracked per path, not per document: many siblings at
+    // a shallow level are fine.
+    std::string wide = "[";
+    for (int i = 0; i < 10'000; ++i)
+        wide += (i ? ",[[]]" : "[[]]");
+    wide += "]";
+    EXPECT_EQ(stats::json::parse(wide).array.size(), 10'000u);
 }
 
 TEST(Registry, SystemSnapshotViaRunResult)
