@@ -1,63 +1,28 @@
 /**
  * @file
- * A small fixed-size thread pool used to run independent
- * (workload, policy) simulation cells in parallel. Results are
- * deterministic because each cell owns its own RNG and state.
+ * Static fork-join helper used to run independent (workload,
+ * policy) simulation cells in parallel. Results are deterministic
+ * because each cell owns its own RNG and state.
  */
 
 #ifndef RLR_UTIL_THREAD_POOL_HH
 #define RLR_UTIL_THREAD_POOL_HH
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <future>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace rlr::util
 {
 
-/** Fixed-size worker pool with a FIFO task queue. */
+/** Fork-join parallel loop; no pool object outlives a call. */
 class ThreadPool
 {
   public:
-    /** @param nthreads worker count; 0 means hardware concurrency. */
-    explicit ThreadPool(size_t nthreads = 0);
-
-    /** Drains the queue and joins all workers. */
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    /** Enqueue a task; the future resolves with its result. */
-    template <typename F>
-    auto
-    submit(F &&fn) -> std::future<std::invoke_result_t<F>>
-    {
-        using R = std::invoke_result_t<F>;
-        auto task = std::make_shared<std::packaged_task<R()>>(
-            std::forward<F>(fn));
-        std::future<R> fut = task->get_future();
-        {
-            std::scoped_lock lock(mutex_);
-            queue_.emplace_back([task] { (*task)(); });
-        }
-        cv_.notify_one();
-        return fut;
-    }
-
-    /** Block until every queued task has finished. */
-    void waitIdle();
-
-    size_t size() const { return workers_.size(); }
+    ThreadPool() = delete;
 
     /**
-     * Convenience: run fn(i) for i in [0, n) across the pool and
-     * wait for completion.
+     * Run fn(i) for i in [0, n) on min(n, nthreads) fresh threads
+     * and wait for completion (nthreads <= 1 runs inline).
      *
      * If exactly one fn(i) throws, that exception is rethrown
      * here after all workers have joined. When several iterations
@@ -71,17 +36,6 @@ class ThreadPool
      */
     static void parallelFor(size_t n, size_t nthreads,
                             const std::function<void(size_t)> &fn);
-
-  private:
-    void workerLoop();
-
-    std::vector<std::thread> workers_;
-    std::deque<std::function<void()>> queue_;
-    std::mutex mutex_;
-    std::condition_variable cv_;
-    std::condition_variable idle_cv_;
-    size_t active_ = 0;
-    bool stop_ = false;
 };
 
 } // namespace rlr::util
