@@ -4,24 +4,22 @@
  * the perf-trajectory artifact behind BENCH_sim_throughput.json.
  *
  * For every policy it replays one deterministic synthetic trace
- * through three cache builds:
+ * through two cache builds:
  *
- *  - typed:    cache::Cache with its devirtualized compile-time
- *              dispatch path (the default);
- *  - virtual:  the same cache forced onto the virtual-dispatch
- *              fallback (Cache::setForceGenericDispatch);
+ *  - cache:    the production cache::Cache;
  *  - baseline: a frozen re-implementation of the pre-optimization
  *              hot path (AoS block array, per-access string-keyed
  *              counter lookups, a fresh std::vector<BlockView>
- *              allocation per victim fill, virtual policy calls),
- *              kept behaviourally identical (same MSHR and
- *              writeback-bypass protocol) so its counts must match.
+ *              allocation per victim fill), kept behaviourally
+ *              identical (same MSHR and writeback-bypass protocol)
+ *              so its counts must match.
  *
- * Every run doubles as a differential oracle: the three builds
- * must agree on all replacement/stat counters and on the checksum
- * of per-access completion times, or the run fails. --check-speedup
- * turns the typed-vs-virtual ratio into a pass/fail regression
- * guard for ctest; scripts/ci.sh exports the JSON every run.
+ * Every run doubles as a differential oracle: the two builds must
+ * agree on all replacement/stat counters and on the checksum of
+ * per-access completion times, or the run fails (exit 1). This is
+ * the one check of the cache's timing and MSHR behaviour against an
+ * independent implementation; scripts/ci.sh exports the JSON every
+ * run.
  */
 
 #include <algorithm>
@@ -348,14 +346,14 @@ benchGeometry()
     return geom;
 }
 
-/** Replay outcome of one (policy, mode) measurement. */
+/** Replay outcome of one (policy, build) measurement. */
 struct Replay
 {
     /** Best observed throughput, simulated accesses/second. */
     double mps = 0.0;
-    /** Sum of per-access completion times (cross-mode oracle). */
+    /** Sum of per-access completion times (cross-build oracle). */
     uint64_t time_checksum = 0;
-    /** Final counters (cross-mode oracle). */
+    /** Final counters (cross-build oracle). */
     std::vector<std::pair<std::string, uint64_t>> stats;
 };
 
@@ -444,8 +442,8 @@ jsonEscape(const std::string &s)
 }
 
 /**
- * Hot-path phase times from one profiled replay of the typed
- * build (obs scoped profiler, flattened across the call tree).
+ * Hot-path phase times from one profiled replay of the production
+ * cache (obs scoped profiler, flattened across the call tree).
  * lookup/victim/policy are span totals; fill is the fill span's
  * self time (victim handling is nested inside it); other is the
  * access span's self time; total is the access span's total.
@@ -480,8 +478,8 @@ accumulatePhases(const obs::ProfileNode &node, PhaseBreakdown &pb)
 }
 
 /**
- * One extra (untimed) replay of the typed build with the scoped
- * profiler armed, yielding the per-phase breakdown. Kept separate
+ * One extra (untimed) replay of the production cache with the
+ * scoped profiler armed, yielding the per-phase breakdown. Kept separate
  * from the throughput reps so profiling overhead never pollutes
  * the Macc/s numbers.
  */
@@ -518,9 +516,7 @@ profilePhases(const std::vector<Access> &trace, MakeFn make_cache)
 struct PolicyResult
 {
     std::string policy;
-    std::string dispatch;
-    double typed_mps = 0.0;
-    double virtual_mps = 0.0;
+    double mps = 0.0;
     double baseline_mps = 0.0;
     uint64_t hits = 0;
     uint64_t misses = 0;
@@ -530,14 +526,9 @@ struct PolicyResult
     PhaseBreakdown phases;
 
     double
-    speedupVsVirtual() const
-    {
-        return virtual_mps > 0.0 ? typed_mps / virtual_mps : 0.0;
-    }
-    double
     speedupVsBaseline() const
     {
-        return baseline_mps > 0.0 ? typed_mps / baseline_mps : 0.0;
+        return baseline_mps > 0.0 ? mps / baseline_mps : 0.0;
     }
 };
 
@@ -548,9 +539,9 @@ main(int argc, char **argv)
 {
     util::ArgParser parser(
         "LLC hot-path throughput benchmark: simulated accesses/sec "
-        "per policy under typed (devirtualized), forced-virtual, "
-        "and frozen pre-optimization baseline builds, with a "
-        "built-in cross-build equivalence oracle");
+        "per policy for the production cache and a frozen "
+        "pre-optimization baseline, with a built-in cross-build "
+        "equivalence oracle");
     parser.addOption("policies", "",
                      "Comma-separated policies (default: "
                      "LRU,SRRIP,BRRIP,DRRIP,SHiP,SHiP++,RLR)");
@@ -567,12 +558,6 @@ main(int argc, char **argv)
                      "Write the per-policy results as JSON "
                      "(BENCH_sim_throughput.json schema, "
                      "docs/PERFORMANCE.md)");
-    parser.addOption("min-speedup", "0.9",
-                     "Minimum typed/virtual throughput ratio "
-                     "accepted by --check-speedup");
-    parser.addFlag("check-speedup",
-                   "Fail (exit 1) when any policy's typed build is "
-                   "slower than min-speedup x its virtual build");
     parser.addFlag("stable-json",
                    "Zero wall-clock throughput fields in the JSON "
                    "export so same-seed runs are byte-identical");
@@ -594,8 +579,6 @@ main(int argc, char **argv)
         static_cast<uint32_t>(std::max<uint64_t>(
             1, parser.getUint("pool")));
     const std::string json = parser.get("json");
-    const double min_speedup = parser.getDouble("min-speedup");
-    const bool check_speedup = parser.getFlag("check-speedup");
     const bool stable = parser.getFlag("stable-json");
 
     const auto trace = makeTrace(accesses, pool, seed);
@@ -607,20 +590,13 @@ main(int argc, char **argv)
         row.policy = name;
 
         FlatMemory mem;
-        std::string dispatch;
-        auto make_prod = [&](bool force_generic) {
-            auto c = std::make_unique<cache::Cache>(
+        auto make_prod = [&] {
+            return std::make_unique<cache::Cache>(
                 benchGeometry(), core::makePolicy(name, seed),
                 &mem);
-            c->setForceGenericDispatch(force_generic);
-            dispatch = c->dispatchKind();
-            return c;
         };
-        const Replay typed = measure<cache::Cache>(
-            trace, reps, [&] { return make_prod(false); });
-        row.dispatch = dispatch; // typed build's kind
-        const Replay virt = measure<cache::Cache>(
-            trace, reps, [&] { return make_prod(true); });
+        const Replay prod =
+            measure<cache::Cache>(trace, reps, make_prod);
         const Replay base =
             measure<BaselineCache>(trace, reps, [&] {
                 return std::make_unique<BaselineCache>(
@@ -628,28 +604,18 @@ main(int argc, char **argv)
                     core::makePolicy(name, seed), &mem);
             });
 
-        row.typed_mps = typed.mps;
-        row.virtual_mps = virt.mps;
+        row.mps = prod.mps;
         row.baseline_mps = base.mps;
-        row.phases = profilePhases(
-            trace, [&] { return make_prod(false); });
+        row.phases = profilePhases(trace, make_prod);
 
-        // Cross-build equivalence oracle: the three hot paths must
+        // Cross-build equivalence oracle: the two hot paths must
         // be behaviourally indistinguishable.
-        std::string err = countsDiff(typed.stats, virt.stats);
-        if (err.empty())
-            err = countsDiff(typed.stats, base.stats);
+        std::string err = countsDiff(prod.stats, base.stats);
         if (err.empty() &&
-            typed.time_checksum != virt.time_checksum) {
+            prod.time_checksum != base.time_checksum) {
             err = util::format(
-                "completion-time checksum typed={} virtual={}",
-                typed.time_checksum, virt.time_checksum);
-        }
-        if (err.empty() &&
-            typed.time_checksum != base.time_checksum) {
-            err = util::format(
-                "completion-time checksum typed={} baseline={}",
-                typed.time_checksum, base.time_checksum);
+                "completion-time checksum cache={} baseline={}",
+                prod.time_checksum, base.time_checksum);
         }
         row.counts_match = err.empty();
         if (!row.counts_match) {
@@ -660,7 +626,7 @@ main(int argc, char **argv)
 
         auto find = [&](const char *n) -> uint64_t {
             uint64_t total = 0;
-            for (const auto &[key, val] : typed.stats) {
+            for (const auto &[key, val] : prod.stats) {
                 if (key == n ||
                     (std::string(n) == "hit" &&
                      key.size() > 4 &&
@@ -679,20 +645,14 @@ main(int argc, char **argv)
         results.push_back(std::move(row));
     }
 
-    util::Table table({"Policy", "Dispatch", "Typed Macc/s",
-                       "Virtual Macc/s", "Baseline Macc/s",
-                       "vs virtual", "vs baseline", "Match"});
-    std::vector<double> vs_virtual, vs_baseline;
+    util::Table table({"Policy", "Macc/s", "Baseline Macc/s",
+                       "vs baseline", "Match"});
+    std::vector<double> vs_baseline;
     for (const auto &r : results) {
-        table.addRow({r.policy, r.dispatch,
-                      util::Table::fmt(r.typed_mps / 1e6, 2),
-                      util::Table::fmt(r.virtual_mps / 1e6, 2),
+        table.addRow({r.policy, util::Table::fmt(r.mps / 1e6, 2),
                       util::Table::fmt(r.baseline_mps / 1e6, 2),
-                      util::Table::fmt(r.speedupVsVirtual(), 2),
                       util::Table::fmt(r.speedupVsBaseline(), 2),
                       r.counts_match ? "yes" : "NO"});
-        if (r.speedupVsVirtual() > 0.0)
-            vs_virtual.push_back(r.speedupVsVirtual());
         if (r.speedupVsBaseline() > 0.0)
             vs_baseline.push_back(r.speedupVsBaseline());
     }
@@ -701,11 +661,9 @@ main(int argc, char **argv)
                                       : table.render())
                    .c_str(),
                stdout);
-    const double geo_virtual = stats::geomean(vs_virtual);
     const double geo_baseline = stats::geomean(vs_baseline);
-    std::printf("geomean speedup: %.2fx vs virtual, %.2fx vs "
-                "baseline\n",
-                geo_virtual, geo_baseline);
+    std::printf("geomean speedup: %.2fx vs baseline\n",
+                geo_baseline);
 
     util::Table phase_table({"Policy", "lookup ms", "victim ms",
                              "policy ms", "fill ms", "other ms",
@@ -722,8 +680,7 @@ main(int argc, char **argv)
                             ms(r.phases.other_ns),
                             ms(r.phases.total_ns)});
     }
-    std::puts("\n=== Hot-path phase times (profiled typed "
-              "replay) ===");
+    std::puts("\n=== Hot-path phase times (profiled replay) ===");
     std::fputs((parser.getFlag("csv") ? phase_table.csv()
                                       : phase_table.render())
                    .c_str(),
@@ -750,10 +707,8 @@ main(int argc, char **argv)
             const auto &r = results[i];
             std::fprintf(
                 f,
-                "    {\"policy\": \"%s\", \"dispatch\": \"%s\", "
-                "\"typed_mps\": %.0f, \"virtual_mps\": %.0f, "
+                "    {\"policy\": \"%s\", \"mps\": %.0f, "
                 "\"baseline_mps\": %.0f, "
-                "\"speedup_vs_virtual\": %.3f, "
                 "\"speedup_vs_baseline\": %.3f, "
                 "\"hits\": %llu, \"misses\": %llu, "
                 "\"evictions\": %llu, \"bypasses\": %llu, "
@@ -762,11 +717,8 @@ main(int argc, char **argv)
                 "\"victim\": %llu, \"policy\": %llu, "
                 "\"fill\": %llu, \"other\": %llu, "
                 "\"total\": %llu}}%s\n",
-                jsonEscape(r.policy).c_str(),
-                jsonEscape(r.dispatch).c_str(), num(r.typed_mps),
-                num(r.virtual_mps), num(r.baseline_mps),
-                num(r.speedupVsVirtual()),
-                num(r.speedupVsBaseline()),
+                jsonEscape(r.policy).c_str(), num(r.mps),
+                num(r.baseline_mps), num(r.speedupVsBaseline()),
                 static_cast<unsigned long long>(r.hits),
                 static_cast<unsigned long long>(r.misses),
                 static_cast<unsigned long long>(r.evictions),
@@ -779,52 +731,11 @@ main(int argc, char **argv)
         }
         std::fprintf(f,
                      "  ],\n"
-                     "  \"geomean_speedup_vs_virtual\": %.3f,\n"
                      "  \"geomean_speedup_vs_baseline\": %.3f\n}\n",
-                     num(geo_virtual), num(geo_baseline));
+                     num(geo_baseline));
         std::fclose(f);
         std::printf("wrote %s\n", json.c_str());
     }
 
-    if (oracle_failed)
-        return 1;
-    if (check_speedup) {
-        // A fresh typed-vs-virtual measurement for one policy.
-        // Scheduler noise can make either build look slow, but a
-        // true regression deflates every measurement, so the
-        // guard re-measures before condemning and keeps the best
-        // ratio it has seen.
-        auto remeasure = [&](const std::string &name) {
-            FlatMemory mem;
-            auto make_prod = [&](bool force_generic) {
-                auto c = std::make_unique<cache::Cache>(
-                    benchGeometry(),
-                    core::makePolicy(name, seed), &mem);
-                c->setForceGenericDispatch(force_generic);
-                return c;
-            };
-            const Replay typed = measure<cache::Cache>(
-                trace, reps, [&] { return make_prod(false); });
-            const Replay virt = measure<cache::Cache>(
-                trace, reps, [&] { return make_prod(true); });
-            return virt.mps > 0.0 ? typed.mps / virt.mps : 0.0;
-        };
-        bool slow = false;
-        for (const auto &r : results) {
-            double ratio = r.speedupVsVirtual();
-            for (int retry = 0;
-                 ratio < min_speedup && retry < 2; ++retry)
-                ratio = std::max(ratio, remeasure(r.policy));
-            if (ratio < min_speedup) {
-                slow = true;
-                std::printf(
-                    "SPEEDUP REGRESSION [%s]: typed %.2fx virtual "
-                    "(< %.2f)\n",
-                    r.policy.c_str(), ratio, min_speedup);
-            }
-        }
-        if (slow)
-            return 1;
-    }
-    return 0;
+    return oracle_failed ? 1 : 0;
 }

@@ -167,7 +167,7 @@ done
 # --- 9. the perf trajectory is documented ---------------------------
 # Every bench/sim_throughput CLI flag must appear in
 # docs/PERFORMANCE.md, along with the JSON export's name, the CI
-# hook that writes it, and the ctest speedup guard.
+# hook that writes it, and the ctest oracle guard.
 st_flags=$(grep -o 'add\(Option\|Flag\)("[a-z-]*"' \
                bench/sim_throughput.cc | sed 's/.*("//; s/"//')
 [ -n "$st_flags" ] ||
@@ -178,8 +178,7 @@ for f in $st_flags; do
             "docs/PERFORMANCE.md"
 done
 for needle in BENCH_sim_throughput.json scripts/ci.sh \
-              sim_throughput_guard setForceGenericDispatch \
-              phase_self_ns; do
+              sim_throughput_guard phase_self_ns; do
     grep -q "$needle" docs/PERFORMANCE.md ||
         err "'$needle' is not documented in docs/PERFORMANCE.md"
 done

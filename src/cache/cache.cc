@@ -4,16 +4,10 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
-#include <typeinfo>
 
-#include "core/rlr.hh"
 #include "obs/epoch.hh"
 #include "obs/event_log.hh"
 #include "obs/profiler.hh"
-#include "policies/lru.hh"
-#include "policies/rrip.hh"
-#include "policies/ship.hh"
 #include "util/logging.hh"
 
 namespace rlr::cache
@@ -114,143 +108,14 @@ Cache::setEpochSampler(obs::EpochSampler *sampler)
 }
 
 void
-Cache::setForceGenericDispatch(bool v)
-{
-    force_generic_ = v;
-    updateDispatch();
-}
-
-namespace
-{
-
-/**
- * Exact-type detection: derived classes (SHiP++, KPC-R, mutant
- * wrappers, external policies) must NOT match their base's
- * devirtualized instantiation — a qualified call would silently
- * skip their overrides — so this compares typeid, not
- * dynamic_cast.
- */
-template <class P>
-bool
-isExactly(const ReplacementPolicy &p)
-{
-    return typeid(p) == typeid(P);
-}
-
-} // namespace
-
-void
 Cache::updateDispatch()
 {
-    kind_ = PolicyKind::Generic;
-    if (!force_generic_) {
-        const ReplacementPolicy &p = *policy_;
-        if (isExactly<policies::LruPolicy>(p))
-            kind_ = PolicyKind::Lru;
-        else if (isExactly<policies::SrripPolicy>(p))
-            kind_ = PolicyKind::Srrip;
-        else if (isExactly<policies::BrripPolicy>(p))
-            kind_ = PolicyKind::Brrip;
-        else if (isExactly<policies::DrripPolicy>(p))
-            kind_ = PolicyKind::Drrip;
-        else if (isExactly<policies::ShipPolicy>(p))
-            kind_ = PolicyKind::Ship;
-        else if (isExactly<core::RlrPolicy>(p))
-            kind_ = PolicyKind::Rlr;
-    }
-    const bool obs = events_ != nullptr || epoch_ != nullptr;
     // With nothing attached the body compiles hook-free (if
     // constexpr strips every observability call site), so
-    // disabled tracing costs nothing beyond the one indirect call
-    // every access already pays for policy dispatch.
-    auto pick = [&](auto tag) -> AccessFn {
-        using P = typename decltype(tag)::type;
-        return obs ? &Cache::accessImpl<true, P>
-                   : &Cache::accessImpl<false, P>;
-    };
-    switch (kind_) {
-      case PolicyKind::Lru:
-        access_fn_ = pick(std::type_identity<policies::LruPolicy>{});
-        break;
-      case PolicyKind::Srrip:
-        access_fn_ =
-            pick(std::type_identity<policies::SrripPolicy>{});
-        break;
-      case PolicyKind::Brrip:
-        access_fn_ =
-            pick(std::type_identity<policies::BrripPolicy>{});
-        break;
-      case PolicyKind::Drrip:
-        access_fn_ =
-            pick(std::type_identity<policies::DrripPolicy>{});
-        break;
-      case PolicyKind::Ship:
-        access_fn_ =
-            pick(std::type_identity<policies::ShipPolicy>{});
-        break;
-      case PolicyKind::Rlr:
-        access_fn_ = pick(std::type_identity<core::RlrPolicy>{});
-        break;
-      case PolicyKind::Generic:
-        access_fn_ = pick(std::type_identity<ReplacementPolicy>{});
-        break;
-    }
-}
-
-const char *
-Cache::dispatchKind() const
-{
-    switch (kind_) {
-      case PolicyKind::Lru:
-        return "LRU";
-      case PolicyKind::Srrip:
-        return "SRRIP";
-      case PolicyKind::Brrip:
-        return "BRRIP";
-      case PolicyKind::Drrip:
-        return "DRRIP";
-      case PolicyKind::Ship:
-        return "SHiP";
-      case PolicyKind::Rlr:
-        return "RLR";
-      case PolicyKind::Generic:
-        break;
-    }
-    return "generic";
-}
-
-template <class P>
-void
-Cache::policyOnAccess(const AccessContext &ctx)
-{
-    if constexpr (std::is_same_v<P, ReplacementPolicy>)
-        policy_->onAccess(ctx);
-    else
-        static_cast<P *>(policy_.get())->P::onAccess(ctx);
-}
-
-template <class P>
-uint32_t
-Cache::policyFindVictim(const AccessContext &ctx,
-                        std::span<const BlockView> blocks)
-{
-    if constexpr (std::is_same_v<P, ReplacementPolicy>)
-        return policy_->findVictim(ctx, blocks);
-    else
-        return static_cast<P *>(policy_.get())
-            ->P::findVictim(ctx, blocks);
-}
-
-template <class P>
-void
-Cache::policyOnEviction(uint32_t set, uint32_t way,
-                        const BlockView &block)
-{
-    if constexpr (std::is_same_v<P, ReplacementPolicy>)
-        policy_->onEviction(set, way, block);
-    else
-        static_cast<P *>(policy_.get())
-            ->P::onEviction(set, way, block);
+    // disabled tracing costs one indirect call per access.
+    access_fn_ = events_ != nullptr || epoch_ != nullptr
+                     ? &Cache::accessImpl<true>
+                     : &Cache::accessImpl<false>;
 }
 
 uint32_t
@@ -318,7 +183,7 @@ Cache::access(const MemRequest &req, uint64_t now)
     return (this->*access_fn_)(req, now);
 }
 
-template <bool Obs, class P>
+template <bool Obs>
 uint64_t
 Cache::accessImpl(const MemRequest &req, uint64_t now)
 {
@@ -393,7 +258,7 @@ Cache::accessImpl(const MemRequest &req, uint64_t now)
         ctx.hit = true;
         {
             RLR_PROF_SCOPE_IF(profiled_, "sim.llc.policy");
-            policyOnAccess<P>(ctx);
+            policy_->onAccess(ctx);
         }
         if (demand)
             runPrefetcher(req, true, now);
@@ -414,7 +279,7 @@ Cache::accessImpl(const MemRequest &req, uint64_t now)
     if (req.type == trace::AccessType::Writeback) {
         // Write-allocate on writeback: the entire line is being
         // written, so no fetch from the next level is required.
-        fillImpl<Obs, P>(req, now, /*dirty=*/true);
+        fillImpl<Obs>(req, now, /*dirty=*/true);
         if (verify_)
             runVerify(set);
         return now;
@@ -437,9 +302,9 @@ Cache::accessImpl(const MemRequest &req, uint64_t now)
         req.type == trace::AccessType::Prefetch &&
         req.pf_confidence < pf_fill_threshold_;
     if (!skip_install) {
-        fillImpl<Obs, P>(req, ready,
-                         /*dirty=*/writes_on_rfo_ &&
-                             req.type == trace::AccessType::Rfo);
+        fillImpl<Obs>(req, ready,
+                      /*dirty=*/writes_on_rfo_ &&
+                          req.type == trace::AccessType::Rfo);
     } else {
         ++*pf_fills_skipped_;
         if constexpr (Obs) {
@@ -460,7 +325,7 @@ Cache::accessImpl(const MemRequest &req, uint64_t now)
     return ready;
 }
 
-template <bool Obs, class P>
+template <bool Obs>
 bool
 Cache::fillImpl(const MemRequest &req, uint64_t ready, bool dirty)
 {
@@ -494,7 +359,7 @@ Cache::fillImpl(const MemRequest &req, uint64_t ready, bool dirty)
         ctx.pc = req.pc;
         ctx.type = req.type;
         ctx.hit = false;
-        way = policyFindVictim<P>(ctx, views);
+        way = policy_->findVictim(ctx, views);
 
         if (way == ReplacementPolicy::kBypass) {
             if (req.type != trace::AccessType::Writeback) {
@@ -514,7 +379,7 @@ Cache::fillImpl(const MemRequest &req, uint64_t ready, bool dirty)
             // re-query for a real victim.
             ++*wb_bypass_denied_;
             ctx.allow_bypass = false;
-            way = policyFindVictim<P>(ctx, views);
+            way = policy_->findVictim(ctx, views);
             if (way == ReplacementPolicy::kBypass) {
                 // Non-conforming policy (ignores allow_bypass):
                 // last-resort way 0 rather than dropping the line.
@@ -539,7 +404,7 @@ Cache::fillImpl(const MemRequest &req, uint64_t ready, bool dirty)
                 if (epoch_)
                     epoch_->onEviction(prio);
             }
-            policyOnEviction<P>(set, way, victim);
+            policy_->onEviction(set, way, victim);
             ++*evictions_;
             if (victim.dirty) {
                 MemRequest wb;
@@ -569,7 +434,7 @@ Cache::fillImpl(const MemRequest &req, uint64_t ready, bool dirty)
     ctx.pc = req.pc;
     ctx.type = req.type;
     ctx.hit = false;
-    policyOnAccess<P>(ctx);
+    policy_->onAccess(ctx);
     if constexpr (Obs) {
         if (events_) {
             // Post-insertion priority (e.g. the inserted RRPV).

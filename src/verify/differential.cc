@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "cache/cache.hh"
-#include "core/policy_factory.hh"
 #include "policies/lru.hh"
 #include "policies/rrip.hh"
 #include "policies/ship.hh"
@@ -464,94 +463,6 @@ runDifferential(const DiffSpec &spec, unsigned mutate_period)
         spec.policy, spec.seed, spec.accesses);
     result.repro = std::move(repro);
     return result;
-}
-
-std::string
-dispatchEquivalenceError(const DiffSpec &spec)
-{
-    const auto accesses = makeFuzzTrace(spec);
-
-    // spec.policy is resolved through the factory (not
-    // makeProductionPolicy) so the oracle covers the whole zoo,
-    // including policies with no reference model that always take
-    // the Generic path (SHiP++, Hawkeye, ...).
-    NullMemory typed_mem;
-    NullMemory generic_mem;
-    cache::Cache typed(specGeometry(spec),
-                       core::makePolicy(spec.policy, spec.seed),
-                       &typed_mem);
-    cache::Cache generic(specGeometry(spec),
-                         core::makePolicy(spec.policy, spec.seed),
-                         &generic_mem);
-    generic.setForceGenericDispatch(true);
-    if (std::string(generic.dispatchKind()) != "generic") {
-        return util::format(
-            "{}: forced-generic cache reports dispatch '{}'",
-            spec.policy, generic.dispatchKind());
-    }
-
-    for (size_t i = 0; i < accesses.size(); ++i) {
-        if (spec.flush_period > 0 && i > 0 &&
-            i % spec.flush_period == 0) {
-            typed.flush();
-            generic.flush();
-        }
-        const trace::LlcAccess &a = accesses[i];
-        cache::MemRequest req;
-        req.address = a.address;
-        req.pc = a.pc;
-        req.type = a.type;
-        req.cpu = a.cpu;
-        const uint64_t t_typed = typed.access(req, i);
-        const uint64_t t_generic = generic.access(req, i);
-        if (t_typed != t_generic) {
-            return util::format(
-                "{}: completion-time divergence on {}: typed={} "
-                "generic={}",
-                spec.policy, formatAccess(i, a), t_typed,
-                t_generic);
-        }
-
-        const uint64_t line =
-            cache::CacheGeometry::lineAddress(a.address);
-        const uint32_t set = static_cast<uint32_t>(
-            (line >> cache::kLineBits) % spec.sets);
-        const auto typed_lines =
-            viewsToRefLines(typed.setContents(set));
-        const auto generic_lines =
-            viewsToRefLines(generic.setContents(set));
-        for (uint32_t w = 0; w < spec.ways; ++w) {
-            if (typed_lines[w].valid == generic_lines[w].valid &&
-                (!typed_lines[w].valid ||
-                 typed_lines[w].line == generic_lines[w].line)) {
-                continue;
-            }
-            return util::format(
-                "{}: content divergence on {} (set {} way {}): "
-                "typed={} generic={}",
-                spec.policy, formatAccess(i, a), set, w,
-                formatSet(typed_lines), formatSet(generic_lines));
-        }
-    }
-
-    const auto typed_stats = typed.statSet().items();
-    const auto generic_stats = generic.statSet().items();
-    if (typed_stats != generic_stats) {
-        std::string diff;
-        for (const auto &[name, value] : typed_stats) {
-            const uint64_t other =
-                generic.statSet().value(name);
-            if (value != other) {
-                diff += util::format(" {}: typed={} generic={}",
-                                     name, value, other);
-            }
-        }
-        return util::format("{}: final stats diverge:{}",
-                            spec.policy,
-                            diff.empty() ? " (key sets differ)"
-                                         : diff.c_str());
-    }
-    return "";
 }
 
 std::string

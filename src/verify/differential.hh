@@ -171,19 +171,6 @@ DiffResult runDifferential(const DiffSpec &spec,
                            unsigned mutate_period = 0);
 
 /**
- * Dispatch-path oracle: replay the spec's fuzz trace through two
- * production caches built from the same spec — one on the
- * devirtualized compile-time instantiation the policy selects,
- * one forced onto the virtual-dispatch fallback
- * (Cache::setForceGenericDispatch) — and require byte-identical
- * behaviour: per-access completion times, per-set resident
- * contents after every access, and the full final counter sets.
- * @return "" when equivalent, else a description of the first
- *         divergence
- */
-std::string dispatchEquivalenceError(const DiffSpec &spec);
-
-/**
  * Optimality invariant: the production policy's hit count on a
  * load-only version of the spec's trace must not exceed
  * brute-force Belady MIN's (bypass-capable, so the bound also

@@ -186,6 +186,31 @@ TEST(Differential, TraceGenerationIsDeterministic)
     EXPECT_FALSE(std::equal(a.begin(), a.end(), c.begin()));
 }
 
+/**
+ * Flush-then-access differential against the independent
+ * reference models: periodic Cache::flush / RefCache::flush pairs
+ * must keep production and reference in lockstep, which pins down
+ * ReplacementPolicy::reset() for every reference-modeled policy
+ * (including RNG re-seeding in BRRIP/DRRIP).
+ */
+TEST(Differential, FlushDifferentialAgainstReferenceModels)
+{
+    for (const auto &policy : verify::referencePolicies()) {
+        DiffSpec spec;
+        spec.policy = policy;
+        spec.sets = 8;
+        spec.ways = 4;
+        spec.seed = 5;
+        spec.accesses = 2000;
+        spec.distinct_lines = 96;
+        spec.flush_period = 237;
+        const auto result = verify::runDifferential(spec);
+        EXPECT_TRUE(result.ok)
+            << "policy " << policy << "\n"
+            << result.repro;
+    }
+}
+
 // --- Mutation self-test --------------------------------------------
 
 TEST(Differential, MutantPolicyIsCaughtAndShrunk)
