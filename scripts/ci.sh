@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Full CI pipeline: the tier-1 build + test pass in Release, then
-# the same test suite rebuilt with AddressSanitizer + UBSan
+# Full CI pipeline: the tier-1 build + test pass in Release with
+# warnings as errors (-DRLR_WERROR=ON), then the same test suite
+# rebuilt with AddressSanitizer + UBSan
 # (-DRLR_SANITIZE=address,undefined, recovery disabled so any
 # report is fatal). Each stage additionally runs the crash-resume
 # harness (scripts/crash_resume_e2e.sh) and the distributed-sweep
@@ -88,7 +89,7 @@ run_profile_artifact() {
     "$dir/tools/inspect" --profile PROF_tier1.json >/dev/null
 }
 
-run_stage "release" build -DCMAKE_BUILD_TYPE=Release
+run_stage "release" build -DCMAKE_BUILD_TYPE=Release -DRLR_WERROR=ON
 run_crash_resume "release" build
 run_dist_sweep "release" build
 run_sim_throughput build

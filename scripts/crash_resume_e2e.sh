@@ -20,6 +20,13 @@
 #   5. retry     : an injected transient fault succeeds on the
 #                  second attempt under --cell-retries (exit 0,
 #                  sweep.retries counted)
+#   6. drain     : SIGINT while cell 2 hangs drains the sweep
+#                  (exit 130): 2 cells completed, the in-flight
+#                  and the never-claimed cell exported as
+#                  "cancelled: signal", a final heartbeat that
+#                  counts only the 2 settled cells; resuming
+#                  without the fault reproduces the reference
+#                  export byte for byte
 #
 # Usage: scripts/crash_resume_e2e.sh [--fig12-bin=PATH]
 #            [--inspect-bin=PATH]
@@ -64,11 +71,11 @@ common="--workloads 429.mcf,470.lbm --policies RLR \
         --warmup 20000 --instructions 30000 --seed 42 \
         --stable-json"
 
-echo "crash_resume_e2e: [1/5] reference run" >&2
+echo "crash_resume_e2e: [1/6] reference run" >&2
 "$fig12_bin" $common --threads 2 --json "$tmp/ref.json" \
     >/dev/null
 
-echo "crash_resume_e2e: [2/5] crash run (SIGKILL at cell 2)" >&2
+echo "crash_resume_e2e: [2/6] crash run (SIGKILL at cell 2)" >&2
 rc=0
 "$fig12_bin" $common --threads 1 --journal "$tmp/journal" \
     --faults abort@2 --json "$tmp/crash.json" \
@@ -91,7 +98,7 @@ if [ "$records" -ne 2 ]; then
     exit 1
 fi
 
-echo "crash_resume_e2e: [3/5] resume run" >&2
+echo "crash_resume_e2e: [3/6] resume run" >&2
 "$fig12_bin" $common --threads 2 --journal "$tmp/journal" \
     --json "$tmp/resume.json" >"$tmp/resume.out"
 grep -q "sweep.resumed_cells 2" "$tmp/resume.out" || {
@@ -116,7 +123,7 @@ grep -q "4 records: 4 ok, 0 failed, 0 unreadable" \
     exit 1
 }
 
-echo "crash_resume_e2e: [4/5] watchdog reaps a hung cell" >&2
+echo "crash_resume_e2e: [4/6] watchdog reaps a hung cell" >&2
 rc=0
 "$fig12_bin" $common --threads 2 --faults hang@0 \
     --cell-timeout 2 >"$tmp/hang.out" 2>&1 || rc=$?
@@ -139,7 +146,7 @@ grep -q "sweep.timeouts 1" "$tmp/hang.out" || {
     exit 1
 }
 
-echo "crash_resume_e2e: [5/5] transient fault retried" >&2
+echo "crash_resume_e2e: [5/6] transient fault retried" >&2
 "$fig12_bin" $common --threads 2 --faults transient:1@0 \
     --cell-retries 2 >"$tmp/retry.out"
 grep -q "sweep.retries 1" "$tmp/retry.out" || {
@@ -148,5 +155,84 @@ grep -q "sweep.retries 1" "$tmp/retry.out" || {
     exit 1
 }
 
+echo "crash_resume_e2e: [6/6] SIGINT drains a hung sweep" >&2
+drain="$tmp/drain"
+"$fig12_bin" $common --threads 1 --journal "$drain" \
+    --faults hang@2 --heartbeat "$tmp/drain_hb.json" \
+    --json "$tmp/drain.json" >"$tmp/drain.out" 2>&1 &
+drain_pid=$!
+# Wait until cells 0 and 1 are journaled and cell 2 (hung) has
+# written its in-flight marker.
+ready=""
+for _ in $(seq 1 600); do
+    records=$(ls "$drain/sweep-0/" 2>/dev/null |
+              grep -c '^cell-') || true
+    markers=$(ls "$drain/sweep-0/" 2>/dev/null |
+              grep -c '^inflight-') || true
+    if [ "$records" -eq 2 ] && [ "$markers" -ge 1 ]; then
+        ready=yes
+        break
+    fi
+    sleep 0.05
+done
+if [ -z "$ready" ]; then
+    echo "crash_resume_e2e: the drain run never reached the hung" \
+         "cell 2" >&2
+    kill -KILL "$drain_pid" 2>/dev/null || true
+    wait "$drain_pid" 2>/dev/null || true
+    cat "$tmp/drain.out" >&2
+    exit 1
+fi
+kill -INT "$drain_pid"
+rc=0
+wait "$drain_pid" || rc=$?
+if [ "$rc" -ne 130 ]; then
+    echo "crash_resume_e2e: expected exit 130 from the drained" \
+         "sweep, got $rc" >&2
+    cat "$tmp/drain.out" >&2
+    exit 1
+fi
+for want in "sweep.completed_cells 2" "sweep.cancelled_cells 2"; do
+    grep -q "$want" "$tmp/drain.out" || {
+        echo "crash_resume_e2e: drain run did not report" \
+             "'$want'" >&2
+        cat "$tmp/drain.out" >&2
+        exit 1
+    }
+done
+cancelled=$(grep -c '"error": "cancelled: signal"' \
+            "$tmp/drain.json") || true
+if [ "$cancelled" -ne 2 ]; then
+    echo "crash_resume_e2e: expected 2 cancelled rows in the" \
+         "drained export, found $cancelled" >&2
+    cat "$tmp/drain.json" >&2
+    exit 1
+fi
+# The final heartbeat counts settled cells only: the cancelled
+# ones are neither done nor failed.
+for want in '"done": true' '"cells_done": 2,' '"cells_failed": 0,'; do
+    grep -q "$want" "$tmp/drain_hb.json" || {
+        echo "crash_resume_e2e: final drain heartbeat lacks" \
+             "$want:" >&2
+        cat "$tmp/drain_hb.json" >&2
+        exit 1
+    }
+done
+"$fig12_bin" $common --threads 2 --journal "$drain" \
+    --json "$tmp/drain_resume.json" >"$tmp/drain_resume.out"
+grep -q "sweep.resumed_cells 2" "$tmp/drain_resume.out" || {
+    echo "crash_resume_e2e: resume after the drain did not" \
+         "report 2 resumed cells" >&2
+    cat "$tmp/drain_resume.out" >&2
+    exit 1
+}
+if ! cmp -s "$tmp/ref.json" "$tmp/drain_resume.json"; then
+    echo "crash_resume_e2e: export resumed after the drain" \
+         "differs from the uninterrupted run's:" >&2
+    diff -u "$tmp/ref.json" "$tmp/drain_resume.json" >&2 || true
+    exit 1
+fi
+
 echo "crash_resume_e2e: OK (kill -9 at cell 2, resumed export" \
-     "byte-identical; hung cell reaped; transient retried)"
+     "byte-identical; hung cell reaped; transient retried;" \
+     "SIGINT drain resumed byte-identical)"

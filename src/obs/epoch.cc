@@ -66,7 +66,9 @@ EpochSampler::closeEpoch()
     cur_.occupancy = occupancy_ ? occupancy_() : 0;
     cur_.scalar = scalar_ ? scalar_() : 0;
 
-    const std::string e = "e" + std::to_string(epochs_) + "_";
+    std::string e = "e";
+    e += std::to_string(epochs_);
+    e += '_';
     series_.counter(e + "accesses") = cur_.accesses;
     series_.counter(e + "misses") = cur_.misses;
     series_.counter(e + "demand_accesses") = cur_.demand_accesses;

@@ -253,12 +253,18 @@ HeartbeatWriter::cellStarted(const std::string &cell,
 }
 
 void
-HeartbeatWriter::cellFinished(bool ok)
+HeartbeatWriter::cellFinished()
 {
     std::scoped_lock lock(impl_->mutex);
     auto it = impl_->workers.find(std::this_thread::get_id());
     if (it != impl_->workers.end())
         it->second.cell.clear();
+}
+
+void
+HeartbeatWriter::cellSettled(bool ok)
+{
+    std::scoped_lock lock(impl_->mutex);
     ++impl_->done;
     if (!ok)
         ++impl_->failed;

@@ -70,7 +70,8 @@ Heartbeat heartbeatFromJson(const std::string &text);
 
 /**
  * Background heartbeat publisher for one sweep. Workers report
- * cellStarted()/cellFinished(); a dedicated thread rewrites
+ * cellStarted()/cellFinished() and the sweep reports
+ * cellSettled(); a dedicated thread rewrites
  * @p path atomically every @p period_s until finish().
  */
 class HeartbeatWriter
@@ -86,8 +87,14 @@ class HeartbeatWriter
 
     /** The calling worker thread begins @p cell ("w:p"). */
     void cellStarted(const std::string &cell, uint32_t attempt);
-    /** The calling worker thread finished its current cell. */
-    void cellFinished(bool ok);
+    /** The calling worker thread's cell ended, however it ended
+     *  (settled, cancelled by a drain, or fenced off): clears its
+     *  row without counting the cell. */
+    void cellFinished();
+    /** One more cell has a final outcome, run here or merged from
+     *  another worker's journal record. Only settled cells count
+     *  as done (and, when !@p ok, failed). */
+    void cellSettled(bool ok);
 
     /** Write the final heartbeat (done=true) and stop the writer
      *  thread. Idempotent; also called by the destructor. */

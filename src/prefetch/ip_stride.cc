@@ -14,7 +14,7 @@ void
 IpStridePrefetcher::bind(const cache::CacheGeometry &geom)
 {
     (void)geom;
-    table_.assign(config_.table_entries, Entry{});
+    table_.assign(config_.table_entries, Entry());
     for (auto &e : table_)
         e.confidence = util::SatCounter(config_.confidence_bits);
 }

@@ -2,9 +2,9 @@
  * @file
  * Declarative fault injection for sweep robustness testing.
  *
- * A FaultPlan is parsed from a `--faults` spec and consulted by
- * the SweepRunner for every cell. It generalizes the original
- * `--inject-fail <workload>:<policy>` hook into a small taxonomy
+ * A FaultPlan is parsed from a `--faults` spec (for example
+ * `throw@<workload>:<policy>`) and consulted by the SweepRunner
+ * for every cell. Its kinds form a small taxonomy
  * (docs/ROBUSTNESS.md):
  *
  *   throw            cell throws a non-retryable error

@@ -54,9 +54,6 @@ struct DistOptions
     /** Lease time-to-live: a lease unrenewed for longer than this
      *  is considered abandoned and may be stolen. */
     double lease_ttl_s = 10.0;
-    /** Poll period while waiting for cells held by other
-     *  workers. */
-    double poll_s = 0.05;
 };
 
 /** Decoded contents (+age) of one lease file. */

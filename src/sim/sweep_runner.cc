@@ -78,14 +78,9 @@ mix64(uint64_t x)
 using stats::json::escape;
 using stats::json::number;
 
-// ---- signal drain -----------------------------------------------
-//
-// The handler only records the signal number; the sweep's monitor
-// thread notices the flag and performs the actual drain (cancel
-// in-flight cells, skip pending ones). The flag is process-global
-// and sticky, so once a drain starts every later sweep in the same
-// process drains immediately too — Ctrl-C stops the whole bench,
-// not just the current figure.
+// ---- signal drain: the handler only records the signal; the
+// monitor thread drains. The flag is process-global and sticky, so
+// Ctrl-C stops the whole bench, not just the current figure.
 
 std::atomic<int> g_signal_caught{0};
 std::atomic<bool> g_sweep_interrupted{false};
@@ -128,23 +123,39 @@ class SignalGuard
     struct sigaction old_term_ = {};
 };
 
-/** Per-cell watchdog state shared with the monitor thread. */
+/** Poll period while every remaining cell is leased elsewhere. */
+constexpr double kClaimPollS = 0.05;
+
+const char *const kCancelledSignal = "cancelled: signal";
+
+/** A worker thread's watchdog and lease state, monitor-shared. */
 struct AttemptSlot
 {
     util::CancelToken token;
-    /** Deadline in steady-clock millis; -1 = no attempt armed. */
+    /** Deadline in steady-clock millis; -1 = no attempt armed,
+     *  -2 = claimed by the monitor, which then cancels. */
     std::atomic<int64_t> deadline_ms{-1};
 
-    // Distributed sweeps: the lease this slot's worker thread
-    // currently holds. fence 0 = none; the monitor thread renews
-    // held leases every TTL/3 unless `stalled` (the stall-worker
-    // fault deliberately lets the lease expire).
+    // Distributed sweeps: the lease this worker holds (fence 0 =
+    // none). The monitor renews it every TTL/3 unless `stalled`
+    // (the stall-worker fault lets the lease expire).
+    std::atomic<uint64_t> lease_hash{0};
     std::atomic<uint64_t> lease_fence{0};
     std::atomic<uint32_t> lease_attempt{0};
     /** Last renewal in steady-clock millis. */
     std::atomic<int64_t> lease_renew_ms{0};
     std::atomic<bool> stalled{false};
 };
+
+/** The sweep.* counters, in SweepRunner::stats() order. */
+enum Counter : size_t {
+    kCompleted, kResumed, kRetries, kTimeouts, kFailed,
+    kCancelled, kReaped, kMerged, kSteals, kFenced, kNumCounters
+};
+const char *const kCounterNames[kNumCounters] = {
+    "completed_cells", "resumed_cells", "retries", "timeouts",
+    "failed_cells", "cancelled_cells", "reaped_markers",
+    "merged_cells", "lease_steals", "fenced_commits"};
 
 /**
  * Decorrelated jitter (the AWS architecture-blog variant): each
@@ -164,15 +175,11 @@ decorrelatedJitter(util::Rng &rng, double &prev, double base,
 
 /** Sleep @p seconds in small slices, bailing on drain. */
 void
-sleepInterruptible(double seconds,
-                   const std::atomic<bool> &draining)
+sleepInterruptible(double seconds, const std::atomic<bool> &draining)
 {
     const auto t0 = Clock::now();
-    while (secondsSince(t0) < seconds &&
-           !draining.load(std::memory_order_relaxed)) {
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(5));
-    }
+    while (secondsSince(t0) < seconds && !draining)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
 }
 
 /** Raise the configured fault before the cell body runs. */
@@ -184,8 +191,8 @@ injectFault(const FaultAction &fault, uint32_t attempt,
       case FaultKind::None:
       case FaultKind::AbortProcess:   // handled before the loop
       case FaultKind::CorruptJournal: // handled at journal time
-      case FaultKind::KillWorker:     // handled before the loop
-      case FaultKind::StallWorker:    // handled before the loop
+      case FaultKind::KillWorker:     // handled at claim time
+      case FaultKind::StallWorker:    // handled at claim time
         return;
       case FaultKind::Throw:
         throw std::runtime_error("injected fault: throw");
@@ -200,13 +207,544 @@ injectFault(const FaultAction &fault, uint32_t attempt,
         // Block exactly like a wedged simulation would: the only
         // way out is the cooperative cancel token (watchdog
         // timeout or signal drain).
-        while (!token.cancelled()) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(1));
-        }
+        while (!token.cancelled())
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
         throw util::CancelledError(token.reason());
     }
 }
+
+/** One runCells() call: resume, monitor, one claim-execute-commit
+ *  loop per worker thread, finish. Only the claim differs between
+ *  local sweeps (an in-memory cursor) and distributed ones (merge
+ *  other workers' records, claim through leases). */
+class SweepRun
+{
+  public:
+    SweepRun(const SimParams &params, const SweepOptions &opts,
+             const SweepRunner::CellFn &cell_fn,
+             std::vector<SweepRunner::CellSpec> specs)
+        : params_(params), opts_(opts), cell_fn_(cell_fn),
+          specs_(std::move(specs)), n_(specs_.size()), seeds_(n_),
+          hashes_(n_), cells_(n_), settled_(n_, 0),
+          slots_(std::max<size_t>(1, opts.threads)),
+          signal_guard_(opts.handle_signals)
+    {
+        for (size_t i = 0; i < n_; ++i) {
+            seeds_[i] = SweepRunner::cellSeed(params_.seed,
+                                              specs_[i].workload);
+            hashes_[i] = SweepJournal::specHash(specs_[i], seeds_[i]);
+            cells_[i] = freshCell(i);
+        }
+    }
+    // Worker and monitor threads hold `this`.
+    SweepRun(const SweepRun &) = delete;
+    SweepRun &operator=(const SweepRun &) = delete;
+
+    /** Open the journal and resume; set up lease and heartbeat. */
+    void
+    resume()
+    {
+        if (opts_.dist.enabled && opts_.journal_dir.empty()) {
+            util::fatal("distributed sweep execution needs a "
+                        "shared --journal directory");
+        }
+        if (!opts_.journal_dir.empty()) {
+            JournalHeader header;
+            header.master_seed = params_.seed;
+            header.config_hash = sweepConfigHash(params_, specs_);
+            header.build = RLR_GIT_DESCRIBE;
+            header.writer = util::format(
+                "pid {} worker {}", static_cast<long>(::getpid()),
+                opts_.dist.worker_id);
+            header.n_cells = n_;
+            try {
+                journal_ = std::make_unique<SweepJournal>(
+                    opts_.journal_dir, header);
+            } catch (const std::exception &e) {
+                util::fatal("{}", e.what());
+            }
+            if (params_.llc_events_capacity > 0) {
+                util::warn("--journal does not persist LLC event logs; "
+                           "resumed cells carry empty events");
+            }
+            for (size_t i = 0; i < n_; ++i) {
+                if (journal_->load(hashes_[i], specs_[i], seeds_[i],
+                                   cells_[i])) {
+                    cells_[i].resumed = true;
+                    settled_[i] = 1;
+                    ++counts_[kResumed];
+                }
+            }
+            // Stale in-flight markers are breadcrumbs of attempts
+            // a crashed worker never finished.
+            const size_t reaped =
+                journal_->reapStaleMarkers(opts_.dist.lease_ttl_s);
+            counts_[kReaped] = reaped;
+            if (reaped > 0) {
+                util::warn("reaped {} stale in-flight marker{} in '{}'",
+                           reaped, reaped == 1 ? "" : "s",
+                           journal_->dir());
+            }
+        }
+        if (opts_.dist.enabled) {
+            lease_ = std::make_unique<Lease>(journal_->dir(),
+                                             opts_.dist.worker_id,
+                                             opts_.dist.lease_ttl_s);
+        }
+        for (size_t i = 0; i < n_; ++i)
+            if (!settled_[i])
+                pending_.push_back(i);
+        if (!opts_.heartbeat_path.empty()) {
+            heartbeat_ = std::make_unique<obs::HeartbeatWriter>(
+                opts_.heartbeat_path, opts_.heartbeat_period_s, n_,
+                counts_[kResumed]);
+        }
+    }
+
+    /** Start the monitor thread when anything needs watching. */
+    void
+    startMonitor()
+    {
+        // An already-interrupted process drains at once.
+        if (opts_.handle_signals && g_signal_caught != 0) {
+            draining_ = true;
+            g_sweep_interrupted = true;
+        }
+        const bool watch = opts_.handle_signals || lease_ ||
+                           opts_.cell_timeout_s > 0.0;
+        if (watch && !pending_.empty()) {
+            monitor_ = std::jthread(
+                [this](std::stop_token stop) { monitorLoop(stop); });
+        }
+    }
+
+    /** Each worker repeats claim, execute, commit until no cell
+     *  is left or a drain starts; then every unsettled cell is
+     *  labelled "cancelled: signal" (it re-runs on resume). */
+    void
+    runWorkers()
+    {
+        sweep_start_ = Clock::now();
+        const size_t workers = std::min(slots_.size(), pending_.size());
+        util::ThreadPool::parallelFor(
+            workers, workers, [this](size_t w) {
+                AttemptSlot &slot = slots_[w];
+                for (size_t i = claim(slot); i < n_;
+                     i = claim(slot)) {
+                    RLR_PROF_SCOPE("sweep.cell");
+                    SweepCell cell = freshCell(i);
+                    const bool finished = execute(i, slot, cell);
+                    commit(i, std::move(cell), finished, slot);
+                }
+            });
+        for (size_t i = 0; i < n_; ++i) {
+            if (!settled_[i]) {
+                cells_[i].error = kCancelledSignal;
+                ++counts_[kCancelled];
+            }
+        }
+    }
+
+    /** Stop the monitor; publish the counters into @p out. */
+    std::vector<SweepCell>
+    finish(stats::StatSet &out)
+    {
+        monitor_ = std::jthread(); // requests stop, then joins
+        if (heartbeat_)
+            heartbeat_->finish();
+        if (opts_.progress)
+            util::finishStatusLine();
+        out.reset();
+        for (size_t c = 0; c < kNumCounters; ++c)
+            out.counter(kCounterNames[c]) = counts_[c];
+        if (opts_.stable_telemetry) {
+            // Leave only seed-determined fields in the export.
+            for (auto &c : cells_) {
+                c.start_seconds = c.wall_seconds = c.mips = 0.0;
+                c.retry_wait_s = c.cpu_user_s = c.cpu_sys_s = 0.0;
+                c.max_rss_kb = c.minor_faults = 0;
+            }
+        }
+        return std::move(cells_);
+    }
+
+  private:
+    SweepCell
+    freshCell(size_t i) const
+    {
+        SweepCell cell;
+        cell.workload = specs_[i].workload;
+        cell.policy = specs_[i].policy;
+        cell.seed = seeds_[i];
+        return cell;
+    }
+
+    FaultAction
+    faultFor(size_t i) const
+    {
+        return opts_.faults.actionFor(
+            i, specs_[i].workload + ":" + specs_[i].policy,
+            seeds_[i]);
+    }
+
+    /** The next cell for this worker; n_ once none is left. */
+    size_t
+    claim(AttemptSlot &slot)
+    {
+        if (lease_)
+            return claimLeased(slot);
+        const size_t k = cursor_.fetch_add(1);
+        return k < pending_.size() && !draining_ ? pending_[k] : n_;
+    }
+
+    /** Merge records other workers committed; claim the first
+     *  cell whose lease is free or expired (its worker died or
+     *  hung). Polls while live workers hold every remaining cell. */
+    size_t
+    claimLeased(AttemptSlot &slot)
+    {
+        while (!draining_) {
+            bool left = false, merged = false;
+            for (size_t i = 0; i < n_ && !draining_; ++i) {
+                {
+                    std::scoped_lock lk(mu_);
+                    if (settled_[i])
+                        continue;
+                }
+                left = true;
+                SweepCell rec;
+                if (journal_->reload(hashes_[i], specs_[i],
+                                     seeds_[i], rec)) {
+                    settle(i, std::move(rec), true);
+                    merged = true;
+                    continue;
+                }
+                const Lease::Claim claimed =
+                    lease_->tryClaim(hashes_[i], 1, stealAfter());
+                if (!claimed.won)
+                    continue; // held by a live worker
+                if (claimed.stole)
+                    ++counts_[kSteals];
+                armLease(slot, i, claimed.fence);
+                return i;
+            }
+            if (!left)
+                return n_;
+            if (!merged)
+                sleepInterruptible(kClaimPollS, draining_);
+        }
+        return n_;
+    }
+
+    /** Steal only after max(TTL, 3 x median committed cell
+     *  wall), so slow cells on a loaded host are not re-issued
+     *  even if renewal lags. */
+    double
+    stealAfter()
+    {
+        std::scoped_lock lk(mu_);
+        if (walls_.empty())
+            return opts_.dist.lease_ttl_s;
+        std::vector<double> s(walls_);
+        std::nth_element(s.begin(), s.begin() + s.size() / 2,
+                         s.end());
+        return std::max(opts_.dist.lease_ttl_s,
+                        3.0 * s[s.size() / 2]);
+    }
+
+    /** Hand a won lease to the monitor's renewal, then raise the
+     *  distributed faults. */
+    void
+    armLease(AttemptSlot &slot, size_t i, uint64_t fence)
+    {
+        slot.stalled = false;
+        slot.lease_hash = hashes_[i];
+        slot.lease_attempt = 1;
+        slot.lease_renew_ms = nowMillis();
+        // Arm renewal last: the monitor ignores the slot until
+        // the fence is published.
+        slot.lease_fence = fence;
+
+        // Gated on fencing token 1 so only the FIRST claimant
+        // misbehaves — survivors that re-claim the cell run it
+        // clean and the sweep still converges.
+        if (fence > 1 || draining_)
+            return;
+        const FaultKind kind = faultFor(i).kind;
+        if (kind == FaultKind::KillWorker)
+            std::raise(SIGKILL);
+        if (kind == FaultKind::StallWorker) {
+            // Stop renewing and outlive the TTL: the lease
+            // expires, a survivor re-issues the cell, and our
+            // eventual commit is fenced off.
+            slot.stalled = true;
+            sleepInterruptible(opts_.dist.lease_ttl_s * 3.0,
+                               draining_);
+        }
+    }
+
+    /** Run cell @p i's attempts (faults, watchdog, retries) into
+     *  @p cell. @return false when a signal drain cancelled it. */
+    bool
+    execute(size_t i, AttemptSlot &slot, SweepCell &cell)
+    {
+        const SweepRunner::CellSpec &spec = specs_[i];
+        const FaultAction fault = faultFor(i);
+        // Deterministic crash for the crash/resume harness: die
+        // the instant this cell is reached, no flushing.
+        if (fault.kind == FaultKind::AbortProcess && !draining_)
+            std::raise(SIGKILL);
+
+        SimParams p = params_;
+        p.llc_policy = cell.policy;
+        p.seed = cell.seed;
+        p.cancel = &slot.token;
+
+        const auto cell_start = Clock::now();
+        cell.start_seconds = secondsSince(sweep_start_);
+        const obs::ResourceSample res_start =
+            obs::ResourceSample::now(
+                obs::ResourceSample::Scope::Thread);
+
+        const uint32_t max_attempts = 1 + opts_.cell_retries;
+        double backoff_prev = opts_.retry_base_s;
+        util::Rng retry_rng(mix64(cell.seed ^ 0x7265747279ULL));
+        bool cancelled = false;
+
+        for (uint32_t attempt = 1; attempt <= max_attempts;
+             ++attempt) {
+            cell.attempts = attempt;
+            slot.lease_attempt = attempt;
+            cell.error.clear();
+            cell.timed_out = false;
+            if (draining_) {
+                cell.error = kCancelledSignal;
+                cancelled = true;
+                break;
+            }
+            slot.token.reset();
+            if (heartbeat_) {
+                heartbeat_->cellStarted(
+                    spec.workload + ":" + spec.policy, attempt);
+            }
+            if (journal_)
+                journal_->markInFlight(hashes_[i], spec, attempt);
+            if (opts_.cell_timeout_s > 0.0) {
+                slot.deadline_ms = nowMillis() +
+                                   static_cast<int64_t>(
+                                       opts_.cell_timeout_s * 1000.0);
+            }
+            bool retryable = false;
+            try {
+                injectFault(fault, attempt, slot.token);
+                cell.result = cell_fn_
+                                  ? cell_fn_(spec, p)
+                                  : runWorkloads(spec.cores, p);
+            } catch (const util::CancelledError &e) {
+                using Reason = util::CancelToken::Reason;
+                if (e.reason() == Reason::Signal) {
+                    cell.error = kCancelledSignal;
+                    cancelled = true;
+                } else if (e.reason() == Reason::Timeout) {
+                    // Derived from the flag value, not measured
+                    // time, so resumed exports stay byte-equal.
+                    cell.error = util::format(
+                        "timeout: attempt exceeded "
+                        "--cell-timeout {}s",
+                        number(opts_.cell_timeout_s));
+                    cell.timed_out = true;
+                    retryable = true;
+                    ++counts_[kTimeouts];
+                } else {
+                    cell.error = e.what();
+                }
+            } catch (const RetryableError &e) {
+                cell.error = e.what();
+                retryable = true;
+            } catch (const std::exception &e) {
+                cell.error = e.what();
+            } catch (...) {
+                cell.error = "unknown exception";
+            }
+            // The slot's token serves this worker's next attempt
+            // too: let a claimed timeout cancel land before that.
+            if (slot.deadline_ms.exchange(-1) == -2) {
+                while (!slot.token.cancelled())
+                    std::this_thread::yield();
+            }
+            if (cancelled || cell.ok())
+                break;
+            if (!retryable || attempt == max_attempts)
+                break;
+            ++counts_[kRetries];
+            const double wait = decorrelatedJitter(
+                retry_rng, backoff_prev, opts_.retry_base_s,
+                opts_.retry_cap_s);
+            cell.retry_wait_s += wait;
+            sleepInterruptible(wait, draining_);
+        }
+
+        cell.wall_seconds = secondsSince(cell_start);
+        if (cell.ok() && cell.wall_seconds > 0.0) {
+            cell.mips = static_cast<double>(
+                            cell.result.total_instructions) /
+                        cell.wall_seconds / 1e6;
+        }
+        const obs::ResourceSample res_delta =
+            obs::ResourceSample::now(
+                obs::ResourceSample::Scope::Thread)
+                .deltaFrom(res_start);
+        cell.cpu_user_s = res_delta.cpu_user_s;
+        cell.cpu_sys_s = res_delta.cpu_sys_s;
+        cell.max_rss_kb = res_delta.max_rss_kb;
+        cell.minor_faults = res_delta.minor_faults;
+        if (heartbeat_)
+            heartbeat_->cellFinished();
+        return !cancelled;
+    }
+
+    /** Settle, journal and release an executed cell. A cancelled
+     *  cell is kept unsettled; one whose lease was stolen while it
+     *  ran is dropped (the thief's commit is authoritative). */
+    void
+    commit(size_t i, SweepCell &&cell, bool finished,
+           AttemptSlot &slot)
+    {
+        const uint64_t fence = slot.lease_fence;
+        if (!finished) {
+            std::scoped_lock lk(mu_);
+            if (!settled_[i])
+                cells_[i] = std::move(cell);
+        } else if (lease_ && !lease_->stillHeld(hashes_[i], fence)) {
+            ++counts_[kFenced];
+        } else if (settle(i, std::move(cell), false)) {
+            if (journal_) {
+                journal_->append(hashes_[i], cells_[i],
+                                 faultFor(i).kind ==
+                                     FaultKind::CorruptJournal);
+            }
+            if (lease_)
+                lease_->release(hashes_[i], fence);
+        }
+        slot.lease_fence = 0;
+        slot.stalled = false;
+    }
+
+    /** The one step shared by commit and @p merged records:
+     *  settled mask, counters, heartbeat, progress line.
+     *  @return false when the cell had already settled. */
+    bool
+    settle(size_t i, SweepCell &&cell, bool merged)
+    {
+        {
+            std::scoped_lock lk(mu_);
+            if (settled_[i])
+                return false;
+            settled_[i] = 1;
+            if (!merged)
+                walls_.push_back(cell.wall_seconds);
+            cells_[i] = std::move(cell);
+        }
+        // Nothing writes a settled cell again: read it unlocked.
+        const bool ok = cells_[i].ok();
+        ++counts_[merged ? kMerged : kCompleted];
+        if (!ok)
+            ++counts_[kFailed];
+        if (heartbeat_)
+            heartbeat_->cellSettled(ok);
+        const uint64_t fresh = settled_now_.fetch_add(1) + 1;
+        if (opts_.progress) {
+            const uint64_t resumed = counts_[kResumed];
+            const double elapsed = secondsSince(sweep_start_);
+            const double eta =
+                elapsed / static_cast<double>(fresh) *
+                static_cast<double>(n_ - resumed - fresh);
+            // Sticky line: log messages erase and repaint it.
+            util::setStatusLine(util::format(
+                "[sweep] {}/{} cells ({} resumed), {:.1f}s "
+                "elapsed, eta {:.1f}s",
+                resumed + fresh, n_, resumed, elapsed, eta));
+        }
+        return true;
+    }
+
+    /** Watchdog, signal drain and lease renewal, every 20 ms. */
+    void
+    monitorLoop(const std::stop_token &stop)
+    {
+        const auto renew_every = static_cast<int64_t>(
+            opts_.dist.lease_ttl_s * 1000.0 / 3.0);
+        while (!stop.stop_requested()) {
+            const int sig = g_signal_caught;
+            if (opts_.handle_signals && sig != 0 &&
+                !draining_.exchange(true)) {
+                g_sweep_interrupted = true;
+                // Serialized with the progress status line by
+                // the logging hook's mutex.
+                util::warn("sweep caught signal {}: draining "
+                           "(cancelling in-flight cells, keeping "
+                           "journal + partial JSON)",
+                           sig);
+            }
+            const int64_t now = nowMillis();
+            for (auto &slot : slots_) {
+                // Re-cancel every poll: attempts armed in the
+                // drain's race window still get the signal reason.
+                if (opts_.handle_signals && sig != 0) {
+                    slot.token.cancel(
+                        util::CancelToken::Reason::Signal);
+                }
+                // Claim an expired deadline before cancelling, so
+                // the cancel cannot hit the worker's next attempt.
+                int64_t deadline = slot.deadline_ms;
+                if (deadline >= 0 && now > deadline &&
+                    slot.deadline_ms.compare_exchange_strong(
+                        deadline, -2)) {
+                    slot.token.cancel(
+                        util::CancelToken::Reason::Timeout);
+                }
+                // Renew held leases every TTL/3 so a live
+                // worker's cells are never stolen.
+                const uint64_t fence = slot.lease_fence;
+                if (lease_ && fence != 0 && !slot.stalled &&
+                    now - slot.lease_renew_ms >= renew_every) {
+                    lease_->renew(slot.lease_hash, slot.lease_attempt,
+                                  fence);
+                    slot.lease_renew_ms = nowMillis();
+                }
+            }
+            std::this_thread::sleep_for(
+                std::chrono::milliseconds(20));
+        }
+    }
+
+    const SimParams &params_;
+    const SweepOptions &opts_;
+    const SweepRunner::CellFn &cell_fn_;
+    const std::vector<SweepRunner::CellSpec> specs_;
+    const size_t n_;
+    std::vector<uint64_t> seeds_;
+    std::vector<uint64_t> hashes_; // journal / lease names
+    std::vector<SweepCell> cells_;
+    std::unique_ptr<SweepJournal> journal_;
+    std::unique_ptr<Lease> lease_;
+    std::unique_ptr<obs::HeartbeatWriter> heartbeat_;
+    std::vector<size_t> pending_; // unsettled after resume
+    std::atomic<size_t> cursor_{0}; // next local claim in pending_
+
+    /** Guards settled_, walls_ and the cells_ of unsettled cells. */
+    std::mutex mu_;
+    std::vector<char> settled_;
+    std::vector<double> walls_; // committed cell wall clocks
+
+    std::atomic<uint64_t> counts_[kNumCounters] = {};
+    std::atomic<uint64_t> settled_now_{0}; // settled after resume
+    Clock::time_point sweep_start_;
+    std::vector<AttemptSlot> slots_; // one per worker thread
+    SignalGuard signal_guard_;
+    std::atomic<bool> draining_{false};
+    std::jthread monitor_; // last: stops before what it watches
+};
 
 } // namespace
 
@@ -243,549 +781,11 @@ SweepRunner::run(const std::vector<std::string> &workloads,
 std::vector<SweepCell>
 SweepRunner::runCells(std::vector<CellSpec> specs)
 {
-    const size_t n = specs.size();
-    std::vector<SweepCell> cells(n);
-    for (size_t i = 0; i < n; ++i) {
-        cells[i].workload = specs[i].workload;
-        cells[i].policy = specs[i].policy;
-        cells[i].seed = cellSeed(params_.seed, specs[i].workload);
-    }
-
-    // ---- journal open + resume ----------------------------------
-    if (opts_.dist.enabled && opts_.journal_dir.empty()) {
-        util::fatal("distributed sweep execution needs a shared "
-                    "--journal directory");
-    }
-    std::unique_ptr<SweepJournal> journal;
-    std::vector<uint64_t> hashes(n, 0);
-    std::vector<char> resumed_mask(n, 0);
-    size_t resumed = 0;
-    size_t reaped_markers = 0;
-    if (!opts_.journal_dir.empty()) {
-        for (size_t i = 0; i < n; ++i)
-            hashes[i] =
-                SweepJournal::specHash(specs[i], cells[i].seed);
-        JournalHeader header;
-        header.master_seed = params_.seed;
-        header.config_hash = sweepConfigHash(params_, specs);
-        header.build = RLR_GIT_DESCRIBE;
-        header.writer = util::format(
-            "pid {} worker {}", static_cast<long>(::getpid()),
-            opts_.dist.worker_id);
-        header.n_cells = n;
-        try {
-            journal = std::make_unique<SweepJournal>(
-                opts_.journal_dir, header);
-        } catch (const std::exception &e) {
-            util::fatal("{}", e.what());
-        }
-        if (params_.llc_events_capacity > 0) {
-            util::warn("--journal does not persist LLC event "
-                       "logs; resumed cells carry empty events");
-        }
-        for (size_t i = 0; i < n; ++i) {
-            if (journal->load(hashes[i], specs[i], cells[i].seed,
-                              cells[i])) {
-                cells[i].resumed = true;
-                resumed_mask[i] = 1;
-                ++resumed;
-            }
-        }
-        // In-flight markers older than the lease TTL (or covered
-        // by a record) are breadcrumbs of attempts a crashed
-        // worker never finished.
-        reaped_markers =
-            journal->reapStaleMarkers(opts_.dist.lease_ttl_s);
-        if (reaped_markers > 0) {
-            util::warn("reaped {} stale in-flight marker{} in "
-                       "'{}'",
-                       reaped_markers,
-                       reaped_markers == 1 ? "" : "s",
-                       journal->dir());
-        }
-    }
-
-    // Lease-based claiming (distributed execution only).
-    std::unique_ptr<Lease> lease;
-    if (opts_.dist.enabled) {
-        lease = std::make_unique<Lease>(journal->dir(),
-                                        opts_.dist.worker_id,
-                                        opts_.dist.lease_ttl_s);
-    }
-
-    std::vector<size_t> pending;
-    pending.reserve(n - resumed);
-    for (size_t i = 0; i < n; ++i)
-        if (!resumed_mask[i])
-            pending.push_back(i);
-
-    // ---- liveness heartbeat -------------------------------------
-    std::unique_ptr<obs::HeartbeatWriter> heartbeat;
-    if (!opts_.heartbeat_path.empty()) {
-        heartbeat = std::make_unique<obs::HeartbeatWriter>(
-            opts_.heartbeat_path, opts_.heartbeat_period_s, n,
-            resumed);
-    }
-
-    // ---- watchdog / signal-drain monitor ------------------------
-    std::vector<AttemptSlot> slots(n);
-    std::atomic<bool> draining{false};
-    std::atomic<bool> monitor_stop{false};
-    SignalGuard signal_guard(opts_.handle_signals);
-    // A sweep in an already-interrupted process drains at once.
-    if (opts_.handle_signals &&
-        g_signal_caught.load(std::memory_order_relaxed) != 0) {
-        draining.store(true);
-        g_sweep_interrupted.store(true);
-    }
-
-    const bool want_monitor = opts_.handle_signals ||
-                              opts_.cell_timeout_s > 0.0 ||
-                              lease != nullptr;
-    std::thread monitor;
-    if (want_monitor && !pending.empty()) {
-        monitor = std::thread([&] {
-            while (!monitor_stop.load(std::memory_order_relaxed)) {
-                const int sig = g_signal_caught.load(
-                    std::memory_order_relaxed);
-                if (opts_.handle_signals && sig != 0) {
-                    if (!draining.exchange(true)) {
-                        g_sweep_interrupted.store(true);
-                        // Serialized with the progress status
-                        // line by the logging hook's mutex.
-                        util::warn(
-                            "sweep caught signal {}: draining "
-                            "(cancelling in-flight cells, "
-                            "keeping journal + partial JSON)",
-                            sig);
-                    }
-                    // Re-cancel every poll: attempts armed in the
-                    // race window still get the signal reason.
-                    for (auto &slot : slots) {
-                        slot.token.cancel(
-                            util::CancelToken::Reason::Signal);
-                    }
-                }
-                if (opts_.cell_timeout_s > 0.0) {
-                    const int64_t now = nowMillis();
-                    for (auto &slot : slots) {
-                        const int64_t deadline =
-                            slot.deadline_ms.load(
-                                std::memory_order_relaxed);
-                        if (deadline >= 0 && now > deadline) {
-                            slot.token.cancel(
-                                util::CancelToken::Reason::
-                                    Timeout);
-                        }
-                    }
-                }
-                if (lease) {
-                    // Renew held leases every TTL/3 so a live
-                    // worker's cells are never stolen; a stalled
-                    // slot (stall-worker fault) deliberately
-                    // skips renewal and lets its lease expire.
-                    const int64_t now = nowMillis();
-                    const auto renew_every = static_cast<int64_t>(
-                        opts_.dist.lease_ttl_s * 1000.0 / 3.0);
-                    for (size_t i = 0; i < slots.size(); ++i) {
-                        AttemptSlot &slot = slots[i];
-                        const uint64_t fence =
-                            slot.lease_fence.load(
-                                std::memory_order_relaxed);
-                        if (fence == 0 ||
-                            slot.stalled.load(
-                                std::memory_order_relaxed)) {
-                            continue;
-                        }
-                        if (now - slot.lease_renew_ms.load(
-                                      std::memory_order_relaxed) <
-                            renew_every) {
-                            continue;
-                        }
-                        lease->renew(hashes[i],
-                                     slot.lease_attempt.load(
-                                         std::memory_order_relaxed),
-                                     fence);
-                        slot.lease_renew_ms.store(
-                            nowMillis(),
-                            std::memory_order_relaxed);
-                    }
-                }
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(20));
-            }
-        });
-    }
-
-    // ---- parallel cell execution --------------------------------
-    const auto sweep_start = Clock::now();
-    std::atomic<size_t> done{resumed};
-    std::atomic<uint64_t> retry_count{0};
-    std::atomic<uint64_t> timeout_count{0};
-    std::atomic<uint64_t> failed_count{0};
-    std::atomic<uint64_t> cancelled_count{0};
-    std::atomic<uint64_t> completed_count{0};
-    std::atomic<uint64_t> merged_count{0};
-    std::atomic<uint64_t> fenced_count{0};
-    std::atomic<uint64_t> steal_count{0};
-
-    auto bump_progress = [&] {
-        const size_t n_done = done.fetch_add(1) + 1;
-        if (!opts_.progress)
-            return;
-        const double elapsed = secondsSince(sweep_start);
-        const size_t fresh = n_done - resumed;
-        const double eta =
-            fresh == 0 ? 0.0
-                       : elapsed / static_cast<double>(fresh) *
-                             static_cast<double>(n - n_done);
-        // Sticky status line: worker log messages erase/repaint
-        // it through the logging mutex instead of interleaving.
-        util::setStatusLine(util::format(
-            "[sweep] {}/{} cells ({} resumed), {:.1f}s elapsed, "
-            "eta {:.1f}s", n_done, n, resumed, elapsed, eta));
-    };
-
-    auto run_one = [&](size_t i) -> bool {
-        RLR_PROF_SCOPE("sweep.cell");
-        SweepCell &cell = cells[i];
-        const CellSpec &spec = specs[i];
-        AttemptSlot &slot = slots[i];
-        const FaultAction fault = opts_.faults.actionFor(
-            i, spec.workload + ":" + spec.policy, cell.seed);
-        const std::string label =
-            spec.workload + ":" + spec.policy;
-
-        // Deterministic crash for the crash/resume harness: die
-        // the instant this cell is reached, no flushing.
-        if (fault.kind == FaultKind::AbortProcess &&
-            !draining.load(std::memory_order_relaxed)) {
-            std::raise(SIGKILL);
-        }
-        // Distributed faults, gated on fencing token 1 so only
-        // the FIRST claimant misbehaves — survivors that re-claim
-        // the cell run it clean and the sweep still converges.
-        if (lease &&
-            slot.lease_fence.load(std::memory_order_relaxed) <=
-                1 &&
-            !draining.load(std::memory_order_relaxed)) {
-            if (fault.kind == FaultKind::KillWorker)
-                std::raise(SIGKILL);
-            if (fault.kind == FaultKind::StallWorker) {
-                // Stop renewing and outlive the TTL: the lease
-                // expires, a survivor re-issues the cell, and our
-                // eventual commit is fenced off.
-                slot.stalled.store(true,
-                                   std::memory_order_relaxed);
-                sleepInterruptible(opts_.dist.lease_ttl_s * 3.0,
-                                   draining);
-            }
-        }
-
-        SimParams p = params_;
-        p.llc_policy = cell.policy;
-        p.seed = cell.seed;
-        p.cancel = &slot.token;
-
-        const auto cell_start = Clock::now();
-        cell.start_seconds = secondsSince(sweep_start);
-        const obs::ResourceSample res_start =
-            obs::ResourceSample::now(
-                obs::ResourceSample::Scope::Thread);
-
-        const uint32_t max_attempts = 1 + opts_.cell_retries;
-        double backoff_prev = opts_.retry_base_s;
-        util::Rng retry_rng(mix64(cell.seed ^ 0x7265747279ULL));
-        bool signal_cancelled = false;
-
-        for (uint32_t attempt = 1; attempt <= max_attempts;
-             ++attempt) {
-            cell.attempts = attempt;
-            slot.lease_attempt.store(attempt,
-                                     std::memory_order_relaxed);
-            cell.error.clear();
-            cell.timed_out = false;
-            if (draining.load(std::memory_order_relaxed)) {
-                cell.error = "cancelled: signal";
-                signal_cancelled = true;
-                break;
-            }
-            slot.token.reset();
-            if (heartbeat)
-                heartbeat->cellStarted(label, attempt);
-            if (journal)
-                journal->markInFlight(hashes[i], spec, attempt);
-            if (opts_.cell_timeout_s > 0.0) {
-                slot.deadline_ms.store(
-                    nowMillis() +
-                        static_cast<int64_t>(
-                            opts_.cell_timeout_s * 1000.0),
-                    std::memory_order_relaxed);
-            }
-            bool retryable = false;
-            try {
-                injectFault(fault, attempt, slot.token);
-                cell.result = cell_fn_
-                                  ? cell_fn_(spec, p)
-                                  : runWorkloads(spec.cores, p);
-            } catch (const util::CancelledError &e) {
-                using Reason = util::CancelToken::Reason;
-                if (e.reason() == Reason::Signal) {
-                    cell.error = "cancelled: signal";
-                    signal_cancelled = true;
-                } else if (e.reason() == Reason::Timeout) {
-                    // Derived from the flag value, not measured
-                    // time, so resumed exports stay byte-equal.
-                    cell.error = util::format(
-                        "timeout: attempt exceeded "
-                        "--cell-timeout {}s",
-                        number(opts_.cell_timeout_s));
-                    cell.timed_out = true;
-                    retryable = true;
-                    timeout_count.fetch_add(1);
-                } else {
-                    cell.error = e.what();
-                }
-            } catch (const RetryableError &e) {
-                cell.error = e.what();
-                retryable = true;
-            } catch (const std::exception &e) {
-                cell.error = e.what();
-            } catch (...) {
-                cell.error = "unknown exception";
-            }
-            slot.deadline_ms.store(-1,
-                                   std::memory_order_relaxed);
-            if (signal_cancelled || cell.ok())
-                break;
-            if (!retryable || attempt == max_attempts)
-                break;
-            retry_count.fetch_add(1);
-            const double wait = decorrelatedJitter(
-                retry_rng, backoff_prev, opts_.retry_base_s,
-                opts_.retry_cap_s);
-            cell.retry_wait_s += wait;
-            sleepInterruptible(wait, draining);
-        }
-
-        cell.wall_seconds = secondsSince(cell_start);
-        if (cell.ok() && cell.wall_seconds > 0.0) {
-            cell.mips = static_cast<double>(
-                            cell.result.total_instructions) /
-                        cell.wall_seconds / 1e6;
-        }
-        const obs::ResourceSample res_delta =
-            obs::ResourceSample::now(
-                obs::ResourceSample::Scope::Thread)
-                .deltaFrom(res_start);
-        cell.cpu_user_s = res_delta.cpu_user_s;
-        cell.cpu_sys_s = res_delta.cpu_sys_s;
-        cell.max_rss_kb = res_delta.max_rss_kb;
-        cell.minor_faults = res_delta.minor_faults;
-        if (heartbeat)
-            heartbeat->cellFinished(cell.ok());
-
-        bool settled_here = false;
-        if (signal_cancelled) {
-            // Not a final outcome — the cell re-runs on resume.
-            cancelled_count.fetch_add(1);
-        } else if (lease &&
-                   !lease->stillHeld(
-                       hashes[i], slot.lease_fence.load(
-                                      std::memory_order_relaxed))) {
-            // Our lease was stolen while we ran (we stalled or
-            // straggled past the re-issue threshold): the
-            // thief's commit is authoritative, ours is dropped.
-            fenced_count.fetch_add(1);
-        } else {
-            completed_count.fetch_add(1);
-            if (!cell.ok())
-                failed_count.fetch_add(1);
-            if (journal) {
-                journal->append(
-                    hashes[i], cell,
-                    fault.kind == FaultKind::CorruptJournal);
-            }
-            if (lease) {
-                lease->release(hashes[i],
-                               slot.lease_fence.load(
-                                   std::memory_order_relaxed));
-            }
-            settled_here = true;
-        }
-        if (!lease || settled_here)
-            bump_progress();
-        return settled_here;
-    };
-
-    if (!lease) {
-        util::ThreadPool::parallelFor(
-            pending.size(), opts_.threads,
-            [&](size_t k) { run_one(pending[k]); });
-    } else {
-        // ---- distributed claim-execute-commit loop --------------
-        //
-        // Every worker thread scans the unsettled cells: cells
-        // another worker already committed are merged from the
-        // journal; unclaimed cells are claimed through a lease and
-        // run; expired leases (their worker was SIGKILLed or
-        // hung) are stolen and re-issued. The loop ends when
-        // every cell has a durable outcome — terminal failures
-        // journal a record too, so convergence never depends on
-        // cells succeeding.
-        std::mutex sched_mu;
-        std::vector<char> settled(resumed_mask);
-        std::vector<double> walls; // committed cell wall clocks
-
-        auto steal_after = [&]() -> double {
-            // Straggler re-issue threshold: steal only after
-            // max(TTL, 3 x median committed cell wall), so cells
-            // that legitimately run long on a loaded machine are
-            // not prematurely re-issued even if renewal lags.
-            std::lock_guard<std::mutex> lk(sched_mu);
-            if (walls.empty())
-                return opts_.dist.lease_ttl_s;
-            std::vector<double> s(walls);
-            std::nth_element(s.begin(), s.begin() + s.size() / 2,
-                             s.end());
-            return std::max(opts_.dist.lease_ttl_s,
-                            3.0 * s[s.size() / 2]);
-        };
-
-        auto worker_loop = [&](size_t) {
-            while (!draining.load(std::memory_order_relaxed)) {
-                bool all_settled = true;
-                bool progressed = false;
-                for (size_t i = 0; i < n; ++i) {
-                    if (draining.load(std::memory_order_relaxed))
-                        return;
-                    {
-                        std::lock_guard<std::mutex> lk(sched_mu);
-                        if (settled[i])
-                            continue;
-                    }
-                    all_settled = false;
-
-                    // Merge a record another worker committed
-                    // since we opened the journal.
-                    SweepCell rec;
-                    if (journal->reload(hashes[i], specs[i],
-                                        cells[i].seed, rec)) {
-                        bool first = false;
-                        {
-                            std::lock_guard<std::mutex> lk(
-                                sched_mu);
-                            if (!settled[i]) {
-                                settled[i] = 1;
-                                first = true;
-                            }
-                        }
-                        if (first) {
-                            cells[i] = rec;
-                            merged_count.fetch_add(1);
-                            if (!rec.ok())
-                                failed_count.fetch_add(1);
-                            if (heartbeat) {
-                                heartbeat->cellStarted(
-                                    specs[i].workload + ":" +
-                                        specs[i].policy,
-                                    rec.attempts);
-                                heartbeat->cellFinished(rec.ok());
-                            }
-                            bump_progress();
-                        }
-                        progressed = true;
-                        continue;
-                    }
-
-                    const Lease::Claim claim = lease->tryClaim(
-                        hashes[i], 1, steal_after());
-                    if (!claim.won)
-                        continue; // held by a live worker — poll
-                    if (claim.stole)
-                        steal_count.fetch_add(1);
-                    AttemptSlot &slot = slots[i];
-                    slot.stalled.store(false,
-                                       std::memory_order_relaxed);
-                    slot.lease_attempt.store(
-                        1, std::memory_order_relaxed);
-                    slot.lease_renew_ms.store(
-                        nowMillis(), std::memory_order_relaxed);
-                    // Arm renewal last: the monitor ignores the
-                    // slot until the fence is published.
-                    slot.lease_fence.store(
-                        claim.fence, std::memory_order_relaxed);
-                    const bool committed = run_one(i);
-                    slot.lease_fence.store(
-                        0, std::memory_order_relaxed);
-                    slot.stalled.store(false,
-                                       std::memory_order_relaxed);
-                    if (committed) {
-                        std::lock_guard<std::mutex> lk(sched_mu);
-                        settled[i] = 1;
-                        walls.push_back(cells[i].wall_seconds);
-                    }
-                    progressed = true;
-                }
-                if (all_settled)
-                    return;
-                if (!progressed)
-                    sleepInterruptible(opts_.dist.poll_s,
-                                       draining);
-            }
-        };
-        util::ThreadPool::parallelFor(opts_.threads,
-                                      opts_.threads, worker_loop);
-
-        // A drain leaves unsettled cells behind; label them so
-        // the export and exit status reflect the interruption.
-        for (size_t i = 0; i < n; ++i) {
-            bool s;
-            {
-                std::lock_guard<std::mutex> lk(sched_mu);
-                s = settled[i] != 0;
-            }
-            if (!s && cells[i].error.empty()) {
-                cells[i].error = "cancelled: signal";
-                cancelled_count.fetch_add(1);
-            }
-        }
-    }
-
-    monitor_stop.store(true);
-    if (monitor.joinable())
-        monitor.join();
-    if (heartbeat)
-        heartbeat->finish();
-
-    if (opts_.progress)
-        util::finishStatusLine();
-
-    sweep_stats_.reset();
-    sweep_stats_.counter("completed_cells") = completed_count;
-    sweep_stats_.counter("resumed_cells") = resumed;
-    sweep_stats_.counter("retries") = retry_count;
-    sweep_stats_.counter("timeouts") = timeout_count;
-    sweep_stats_.counter("failed_cells") = failed_count;
-    sweep_stats_.counter("cancelled_cells") = cancelled_count;
-    sweep_stats_.counter("reaped_markers") = reaped_markers;
-    sweep_stats_.counter("merged_cells") = merged_count;
-    sweep_stats_.counter("lease_steals") = steal_count;
-    sweep_stats_.counter("fenced_commits") = fenced_count;
-
-    if (opts_.stable_telemetry) {
-        // Leave only seed-determined fields in the export.
-        for (auto &cell : cells) {
-            cell.start_seconds = 0.0;
-            cell.wall_seconds = 0.0;
-            cell.mips = 0.0;
-            cell.retry_wait_s = 0.0;
-            cell.cpu_user_s = 0.0;
-            cell.cpu_sys_s = 0.0;
-            cell.max_rss_kb = 0;
-            cell.minor_faults = 0;
-        }
-    }
+    SweepRun run(params_, opts_, cell_fn_, std::move(specs));
+    run.resume();
+    run.startMonitor();
+    run.runWorkers();
+    std::vector<SweepCell> cells = run.finish(sweep_stats_);
     if (!opts_.json_path.empty())
         writeJson(opts_.json_path, cells);
     return cells;

@@ -115,7 +115,7 @@ struct SweepOptions
     /**
      * Distributed execution (sim/lease.hh): when enabled, cells
      * are claimed through lease files in the journal directory
-     * instead of statically partitioned, so N worker processes
+     * instead of from an in-process cursor, so N worker processes
      * sharing one journal cooperatively execute the sweep and a
      * killed worker's cells are re-issued to survivors. Requires
      * journal_dir.

@@ -21,9 +21,9 @@ HistogramData::from(const util::Histogram &h)
 {
     HistogramData d;
     d.bucket_width = h.bucketWidth();
-    d.buckets.resize(h.numBuckets());
+    d.buckets.reserve(h.numBuckets());
     for (size_t i = 0; i < h.numBuckets(); ++i)
-        d.buckets[i] = h.bucketCount(i);
+        d.buckets.push_back(h.bucketCount(i));
     d.overflow = h.overflowCount();
     return d;
 }

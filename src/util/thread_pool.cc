@@ -68,8 +68,10 @@ ThreadPool::parallelFor(size_t n, size_t nthreads,
         for (size_t i = 0; i < error_messages.size(); ++i) {
             if (i)
                 joined += "; ";
-            joined += "[" + std::to_string(i) + "] " +
-                      error_messages[i];
+            joined.append("[")
+                .append(std::to_string(i))
+                .append("] ")
+                .append(error_messages[i]);
         }
         throw std::runtime_error(
             std::to_string(error_messages.size()) +

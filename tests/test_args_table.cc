@@ -11,9 +11,10 @@ namespace
 {
 
 bool
-parse(ArgParser &p, std::vector<const char *> argv)
+parse(ArgParser &p, const std::vector<const char *> &args)
 {
-    argv.insert(argv.begin(), "prog");
+    std::vector<const char *> argv = {"prog"};
+    argv.insert(argv.end(), args.begin(), args.end());
     return p.parse(static_cast<int>(argv.size()), argv.data());
 }
 

@@ -122,9 +122,11 @@ TEST(Heartbeat, WriterLifecycle)
         ASSERT_EQ(snap.workers.size(), 1u);
         EXPECT_EQ(snap.workers[0].cell, "429.mcf:RLR");
 
-        writer.cellFinished(true);
+        writer.cellFinished();
+        writer.cellSettled(true);
         writer.cellStarted("403.gcc:LRU", 2);
-        writer.cellFinished(false);
+        writer.cellFinished();
+        writer.cellSettled(false);
         writer.finish();
     }
     // The final beat is flushed by finish(): done, counts settled.
@@ -135,6 +137,55 @@ TEST(Heartbeat, WriterLifecycle)
     EXPECT_EQ(hb.cells_failed, 1u);
     EXPECT_EQ(hb.cells_running, 0u);
     EXPECT_TRUE(hb.workers.empty());
+    fs::remove(path);
+}
+
+TEST(Heartbeat, CancelledCellsClearTheirRowWithoutCounting)
+{
+    // The signal-drain sequence: two cells settle, the in-flight
+    // one is cancelled (row cleared, never settled), and the
+    // never-claimed one is not reported at all.
+    const std::string path = tempPath("drain");
+    {
+        obs::HeartbeatWriter writer(path, 0.01, 4, 0);
+        for (const char *cell : {"429.mcf:LRU", "429.mcf:RLR"}) {
+            writer.cellStarted(cell, 1);
+            writer.cellFinished();
+            writer.cellSettled(true);
+        }
+        writer.cellStarted("470.lbm:LRU", 1);
+        obs::Heartbeat snap = writer.snapshot();
+        EXPECT_EQ(snap.cells_running, 1u);
+        writer.cellFinished();
+        snap = writer.snapshot();
+        EXPECT_EQ(snap.cells_running, 0u);
+        EXPECT_EQ(snap.cells_done, 2u);
+        writer.finish();
+    }
+    const obs::Heartbeat hb =
+        obs::heartbeatFromJson(slurp(path));
+    EXPECT_TRUE(hb.done);
+    EXPECT_EQ(hb.cells_done, 2u);
+    EXPECT_EQ(hb.cells_failed, 0u);
+    EXPECT_EQ(hb.cells_running, 0u);
+    EXPECT_TRUE(hb.workers.empty());
+    fs::remove(path);
+}
+
+TEST(Heartbeat, MergedCellsCountWithoutARow)
+{
+    // A cell merged from another worker's journal record settles
+    // here without ever having run on one of our threads.
+    const std::string path = tempPath("merged");
+    obs::HeartbeatWriter writer(path, 0.01, 3, 0);
+    writer.cellSettled(true);
+    writer.cellSettled(false);
+    const obs::Heartbeat snap = writer.snapshot();
+    EXPECT_EQ(snap.cells_done, 2u);
+    EXPECT_EQ(snap.cells_failed, 1u);
+    EXPECT_EQ(snap.cells_running, 0u);
+    EXPECT_TRUE(snap.workers.empty());
+    writer.finish();
     fs::remove(path);
 }
 
@@ -161,8 +212,10 @@ TEST(Heartbeat, ReadersNeverSeeTornWrites)
     std::thread churn([&] {
         unsigned i = 0;
         while (!stop.load()) {
-            writer.cellStarted(
-                "w" + std::to_string(i++ % 7) + ":LRU", 1);
+            std::string cell = "w";
+            cell += std::to_string(i++ % 7);
+            cell += ":LRU";
+            writer.cellStarted(cell, 1);
             std::this_thread::sleep_for(
                 std::chrono::microseconds(200));
         }

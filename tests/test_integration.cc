@@ -84,8 +84,8 @@ TEST_P(PolicyPipelineTest, ReplaysTraceAndRespectsBelady)
 INSTANTIATE_TEST_SUITE_P(
     AllPolicies, PolicyPipelineTest,
     ::testing::ValuesIn(rlr::core::knownPolicies()),
-    [](const ::testing::TestParamInfo<std::string> &info) {
-        std::string name = info.param;
+    [](const ::testing::TestParamInfo<std::string> &param_info) {
+        std::string name = param_info.param;
         for (auto &c : name)
             if (!isalnum(static_cast<unsigned char>(c)))
                 c = '_';

@@ -23,8 +23,11 @@ TEST(StatSet, ReferenceStableAcrossInserts)
     uint64_t &a = s.counter("a");
     a = 1;
     // Inserting many more counters must not invalidate `a`.
-    for (int i = 0; i < 100; ++i)
-        s.counter("x" + std::to_string(i)) = 1;
+    for (int i = 0; i < 100; ++i) {
+        std::string name = "x";
+        name += std::to_string(i);
+        s.counter(name) = 1;
+    }
     a = 42;
     EXPECT_EQ(s.value("a"), 42u);
 }

@@ -3,17 +3,21 @@
  * Crash-safe sweep robustness: journal-backed resume (full and
  * partial, byte-identical exports), retry-with-backoff on
  * transient faults, the --cell-timeout watchdog reaping a hung
- * cell while the rest of the sweep completes, and the FaultPlan
- * grammar driving all of it.
+ * cell while the rest of the sweep completes, two leased runners
+ * sharing one journal in-process, and the FaultPlan grammar
+ * driving all of it.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "sim/fault_plan.hh"
 #include "sim/journal.hh"
@@ -354,6 +358,74 @@ TEST(SweepResume, StableTelemetryZeroesRetryWait)
               std::string::npos)
         << json;
     EXPECT_NE(json.find("\"attempts\": 2,"), std::string::npos);
+}
+
+TEST(SweepResume, TwoLeasedRunnersShareOneJournal)
+{
+    // The distributed claim loop in one process: two runners with
+    // different worker ids share a journal and run concurrently.
+    // Each runs some cells and merges the others' records, and
+    // both exports equal a plain local run's byte for byte.
+    const std::string dir = tempDir("dist_two_runners");
+    const std::vector<std::string> workloads = {"w1", "w2", "w3"};
+    const std::vector<std::string> policies = {"LRU", "RLR"};
+    const uint64_t n = workloads.size() * policies.size();
+    sim::SimParams params;
+    SweepOptions local;
+    local.stable_telemetry = true;
+    SweepRunner plain(params, local);
+    plain.setCellFn(fakeRun);
+    const std::string want =
+        SweepRunner::toJson(plain.run(workloads, policies));
+
+    // Hold the first cell body of each runner until both have
+    // entered one, so neither commits before the other opened
+    // the journal (a record seen at open would resume, not
+    // merge). The deadline only keeps a broken loop from hanging.
+    std::atomic<int> entered{0};
+    auto gated = [&](const SweepRunner::CellSpec &spec,
+                     const sim::SimParams &p) {
+        if (entered.fetch_add(1) < 2) {
+            const auto deadline = std::chrono::steady_clock::now() +
+                                  std::chrono::seconds(10);
+            while (entered.load() < 2 &&
+                   std::chrono::steady_clock::now() < deadline) {
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(1));
+            }
+        }
+        return fakeRun(spec, p);
+    };
+
+    SweepOptions opts0 = local;
+    opts0.journal_dir = dir;
+    opts0.dist.enabled = true;
+    SweepOptions opts1 = opts0;
+    opts1.dist.worker_id = 1;
+    SweepRunner r0(params, opts0);
+    SweepRunner r1(params, opts1);
+    r0.setCellFn(gated);
+    r1.setCellFn(gated);
+    std::vector<SweepCell> cells0;
+    std::vector<SweepCell> cells1;
+    std::thread t0([&] { cells0 = r0.run(workloads, policies); });
+    std::thread t1([&] { cells1 = r1.run(workloads, policies); });
+    t0.join();
+    t1.join();
+
+    EXPECT_EQ(SweepRunner::toJson(cells0), want);
+    EXPECT_EQ(SweepRunner::toJson(cells1), want);
+    for (const SweepRunner *r : {&r0, &r1}) {
+        EXPECT_EQ(r->stats().value("resumed_cells"), 0u);
+        EXPECT_EQ(r->stats().value("completed_cells") +
+                      r->stats().value("merged_cells"),
+                  n);
+    }
+    // Every cell ran exactly once across the two runners.
+    EXPECT_EQ(r0.stats().value("completed_cells") +
+                  r1.stats().value("completed_cells"),
+              n);
+    fs::remove_all(dir);
 }
 
 // ---- FaultPlan grammar ------------------------------------------

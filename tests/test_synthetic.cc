@@ -122,8 +122,8 @@ INSTANTIATE_TEST_SUITE_P(
             names.push_back(w.name);
         return names;
     }()),
-    [](const ::testing::TestParamInfo<std::string> &info) {
-        std::string name = info.param;
+    [](const ::testing::TestParamInfo<std::string> &param_info) {
+        std::string name = param_info.param;
         for (auto &c : name)
             if (!isalnum(static_cast<unsigned char>(c)))
                 c = '_';

@@ -162,16 +162,17 @@ renderCell(std::string &out, const obs::CellEvents &cell,
         out += "Position in the set's recency order at eviction "
                "(0 = LRU).\n\n";
         {
-            std::vector<std::vector<std::string>> rows;
+            std::vector<std::vector<std::string>> recency_rows;
             for (size_t r = 0; r < vs.victim_recency.size(); ++r) {
                 if (vs.victim_recency[r] == 0)
                     continue;
-                rows.push_back(
+                recency_rows.push_back(
                     {util::format("{}", r),
                      util::format("{}", vs.victim_recency[r]),
                      fmtPct(vs.victim_recency[r], vs.evictions)});
             }
-            out += mdTable({"Recency", "Victims", "Share"}, rows) +
+            out += mdTable({"Recency", "Victims", "Share"},
+                           recency_rows) +
                    "\n";
         }
 
