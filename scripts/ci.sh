@@ -17,7 +17,10 @@
 # (docs/PERFORMANCE.md) — and exports a self-profile of the
 # tier-1 sweep path to PROF_tier1.json (docs/OBSERVABILITY.md).
 # Set RLR_STABLE_BENCH=1 to zero the wall-clock fields so
-# same-seed runs are byte-identical.
+# same-seed runs are byte-identical. The release stage also builds
+# (without running) the host-time benchmark in hostbench/ against
+# the current src/ into build-hostbench/, so an API change that
+# breaks the benchmark fails CI.
 #
 # Usage: scripts/ci.sh [-j N]
 #   -j N   parallel build/test jobs (default: nproc)
@@ -89,11 +92,18 @@ run_profile_artifact() {
     "$dir/tools/inspect" --profile PROF_tier1.json >/dev/null
 }
 
+build_hostbench() {
+    echo "=== ci: build hostbench (benchmark binary, not run) ==="
+    cmake -B build-hostbench -S hostbench -DCMAKE_BUILD_TYPE=Release
+    cmake --build build-hostbench -j "$jobs" --target hostbench
+}
+
 run_stage "release" build -DCMAKE_BUILD_TYPE=Release -DRLR_WERROR=ON
 run_crash_resume "release" build
 run_dist_sweep "release" build
 run_sim_throughput build
 run_profile_artifact build
+build_hostbench
 
 # Sanitizer stage: RelWithDebInfo keeps line numbers in reports
 # without debug-build slowness; halt_on_error via

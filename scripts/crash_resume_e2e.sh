@@ -23,8 +23,10 @@
 #   6. drain     : SIGINT while cell 2 hangs drains the sweep
 #                  (exit 130): 2 cells completed, the in-flight
 #                  and the never-claimed cell exported as
-#                  "cancelled: signal", a final heartbeat that
-#                  counts only the 2 settled cells; resuming
+#                  "cancelled: signal" (the in-flight one with
+#                  1 attempt, the never-claimed one with 0), a
+#                  final heartbeat that counts only the 2 settled
+#                  cells; resuming
 #                  without the fault reproduces the reference
 #                  export byte for byte
 #
@@ -208,6 +210,18 @@ if [ "$cancelled" -ne 2 ]; then
     cat "$tmp/drain.json" >&2
     exit 1
 fi
+# Attempts tell the two cancelled rows apart: cell 2
+# (470.lbm, LRU) hung in its first attempt, cell 3 (470.lbm, RLR)
+# was never claimed.
+for want in '"policy": "LRU", .*"attempts": 1, .*"cancelled: signal"' \
+            '"policy": "RLR", .*"attempts": 0, .*"cancelled: signal"'; do
+    grep -q "\"workload\": \"470.lbm\", $want" "$tmp/drain.json" || {
+        echo "crash_resume_e2e: drained export lacks a 470.lbm row" \
+             "matching '$want':" >&2
+        cat "$tmp/drain.json" >&2
+        exit 1
+    }
+done
 # The final heartbeat counts settled cells only: the cancelled
 # ones are neither done nor failed.
 for want in '"done": true' '"cells_done": 2,' '"cells_failed": 0,'; do

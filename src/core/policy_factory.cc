@@ -1,6 +1,6 @@
 #include "core/policy_factory.hh"
 
-#include <cstdlib>
+#include <limits>
 
 #include "core/rlr.hh"
 #include "policies/eva.hh"
@@ -13,6 +13,7 @@
 #include "policies/random.hh"
 #include "policies/rrip.hh"
 #include "policies/ship.hh"
+#include "util/args.hh"
 #include "util/logging.hh"
 
 namespace rlr::core
@@ -86,8 +87,9 @@ makePolicy(const std::string &name, uint64_t seed)
             if (eq == std::string::npos)
                 util::fatal("bad RLR spec item '{}'", kv);
             const std::string key = kv.substr(0, eq);
-            const auto value = static_cast<unsigned>(
-                std::strtoul(kv.c_str() + eq + 1, nullptr, 10));
+            const auto value = static_cast<unsigned>(util::parseUint(
+                kv.substr(eq + 1), util::format("RLR spec item '{}'", kv),
+                std::numeric_limits<unsigned>::max()));
             if (key == "opt")
                 c.optimized = value != 0;
             else if (key == "age")

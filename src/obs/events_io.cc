@@ -1,6 +1,5 @@
 #include "obs/events_io.hh"
 
-#include <cstdio>
 #include <stdexcept>
 
 #include "stats/export.hh"
@@ -234,22 +233,6 @@ writeEvents(const std::string &path,
             const std::vector<CellEvents> &cells)
 {
     util::atomicWriteFileOrFatal(path, eventsToJson(cells));
-}
-
-std::vector<CellEvents>
-readEvents(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        throw std::runtime_error("cannot open events file '" +
-                                 path + "'");
-    std::string text;
-    char buf[1 << 16];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        text.append(buf, n);
-    std::fclose(f);
-    return eventsFromJson(text);
 }
 
 } // namespace rlr::obs

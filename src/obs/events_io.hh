@@ -59,12 +59,6 @@ std::vector<CellEvents> eventsFromJson(const std::string &text);
 void writeEvents(const std::string &path,
                  const std::vector<CellEvents> &cells);
 
-/**
- * Read and parse an events file.
- * @throws std::runtime_error on I/O or parse failure
- */
-std::vector<CellEvents> readEvents(const std::string &path);
-
 } // namespace rlr::obs
 
 #endif // RLR_OBS_EVENTS_IO_HH

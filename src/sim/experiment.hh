@@ -139,8 +139,9 @@ struct SweepCell
     /** Non-empty when the cell failed; result is default-valued. */
     std::string error;
 
-    /** Attempts consumed (1 + retries actually taken). */
-    uint32_t attempts = 1;
+    /** Attempts started (1 + retries actually taken); 0 for a
+     *  cell that never ran. */
+    uint32_t attempts = 0;
     /** Total backoff wall-clock slept between attempts. */
     double retry_wait_s = 0.0;
     /** The final attempt was reaped by the --cell-timeout
@@ -160,23 +161,6 @@ struct SweepCell
 
     bool ok() const { return error.empty(); }
 };
-
-/**
- * Run every (workload, policy) pair, parallelized across
- * @p threads worker threads. Results are deterministic: each cell
- * simulates in isolation with a seed derived from params.seed and
- * the workload name (never from scheduling order).
- *
- * Thin wrapper over SweepRunner that preserves the historical
- * fail-fast contract: every cell is attempted, then the first
- * cell failure (if any) is rethrown as std::runtime_error. Use
- * SweepRunner directly for fault-isolated sweeps that report
- * per-cell errors instead of throwing.
- */
-std::vector<SweepCell>
-sweep(const std::vector<std::string> &workloads,
-      const std::vector<std::string> &policies,
-      const SimParams &params, size_t threads);
 
 /** Find a cell in a sweep result; fatal() when absent. */
 const SweepCell &findCell(const std::vector<SweepCell> &cells,

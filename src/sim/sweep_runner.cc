@@ -423,6 +423,16 @@ class SweepRun
                     lease_->tryClaim(hashes_[i], 1, stealAfter());
                 if (!claimed.won)
                     continue; // held by a live worker
+                // A worker commits before it releases its lease, so
+                // a record committed since the reload above shows
+                // now: merge it rather than run the cell twice.
+                if (journal_->reload(hashes_[i], specs_[i],
+                                     seeds_[i], rec)) {
+                    lease_->release(hashes_[i], claimed.fence);
+                    settle(i, std::move(rec), true);
+                    merged = true;
+                    continue;
+                }
                 if (claimed.stole)
                     ++counts_[kSteals];
                 armLease(slot, i, claimed.fence);
@@ -513,7 +523,6 @@ class SweepRun
 
         for (uint32_t attempt = 1; attempt <= max_attempts;
              ++attempt) {
-            cell.attempts = attempt;
             slot.lease_attempt = attempt;
             cell.error.clear();
             cell.timed_out = false;
@@ -522,6 +531,7 @@ class SweepRun
                 cancelled = true;
                 break;
             }
+            cell.attempts = attempt;
             slot.token.reset();
             if (heartbeat_) {
                 heartbeat_->cellStarted(

@@ -402,19 +402,4 @@ fromJson(const std::string &text)
     return fromJson(json::parse(text));
 }
 
-std::string
-toText(const Snapshot &snap)
-{
-    std::string out;
-    for (const auto &[k, v] : snap.counters)
-        out += util::format("{} {}\n", k, v);
-    for (const auto &[k, v] : snap.formulas)
-        out += util::format("{} {}\n", k, json::number(v));
-    for (const auto &[k, h] : snap.histograms) {
-        out += util::format("{} total {} overflow {} width {}\n", k,
-                            h.total(), h.overflow, h.bucket_width);
-    }
-    return out;
-}
-
 } // namespace rlr::stats

@@ -101,9 +101,6 @@ Snapshot fromJson(const std::string &text);
 /** Parse a snapshot out of an already-parsed JSON object. */
 Snapshot fromJson(const json::Value &root);
 
-/** "path value" lines in registration order (human dump). */
-std::string toText(const Snapshot &snap);
-
 } // namespace rlr::stats
 
 #endif // RLR_STATS_EXPORT_HH

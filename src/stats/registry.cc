@@ -206,21 +206,6 @@ Registry::description(const std::string &path) const
     return e ? e->description : "";
 }
 
-std::vector<std::string>
-Registry::paths() const
-{
-    std::vector<std::string> out;
-    for (const auto &e : entries_) {
-        if (e->kind == Kind::StatSetMount) {
-            for (const auto &[k, _] : e->stat_set->items())
-                out.push_back(e->path + "." + k);
-        } else {
-            out.push_back(e->path);
-        }
-    }
-    return out;
-}
-
 Snapshot
 Registry::snapshot() const
 {

@@ -155,10 +155,6 @@ class Registry
     /** Description registered for @p path ("" when absent). */
     std::string description(const std::string &path) const;
 
-    /** Paths of every entry, in registration order (mounted
-     *  StatSets contribute their current counters). */
-    std::vector<std::string> paths() const;
-
     /** Freeze every value (formulas evaluated now). */
     Snapshot snapshot() const;
 

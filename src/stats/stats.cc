@@ -1,6 +1,5 @@
 #include "stats/stats.hh"
 
-#include <algorithm>
 #include <cmath>
 #include "util/format.hh"
 
@@ -53,33 +52,6 @@ std::vector<std::pair<std::string, uint64_t>>
 StatSet::items() const
 {
     return {counters_.begin(), counters_.end()};
-}
-
-void
-RunningStat::sample(double v)
-{
-    ++n_;
-    if (n_ == 1) {
-        min_ = max_ = v;
-    } else {
-        min_ = std::min(min_, v);
-        max_ = std::max(max_, v);
-    }
-    const double delta = v - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (v - mean_);
-}
-
-double
-RunningStat::variance() const
-{
-    return n_ < 2 ? 0.0 : m2_ / static_cast<double>(n_ - 1);
-}
-
-double
-RunningStat::stddev() const
-{
-    return std::sqrt(variance());
 }
 
 std::string

@@ -60,26 +60,6 @@ class StatSet
     std::map<std::string, uint64_t> counters_;
 };
 
-/** Running mean/variance (Welford) for measurement summaries. */
-class RunningStat
-{
-  public:
-    void sample(double v);
-    uint64_t count() const { return n_; }
-    double mean() const { return n_ ? mean_ : 0.0; }
-    double variance() const;
-    double stddev() const;
-    double min() const { return n_ ? min_ : 0.0; }
-    double max() const { return n_ ? max_ : 0.0; }
-
-  private:
-    uint64_t n_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
-
 /**
  * Internal-consistency check over a cache StatSet's per-type access
  * counters: for each type T in {LD, RFO, PF, WB},

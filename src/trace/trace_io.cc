@@ -1,45 +1,9 @@
 #include "trace/trace_io.hh"
 
-#include <cstdio>
-#include <memory>
 #include <unordered_set>
-
-#include "util/logging.hh"
 
 namespace rlr::trace
 {
-
-namespace
-{
-
-constexpr uint64_t kMagic = 0x524c52545243ULL; // "RLRTRC"
-constexpr uint32_t kVersion = 1;
-
-struct FileHeader
-{
-    uint64_t magic;
-    uint32_t version;
-    uint32_t reserved;
-    uint64_t count;
-};
-
-struct FileRecord
-{
-    uint64_t pc;
-    uint64_t address;
-    uint8_t type;
-    uint8_t cpu;
-    uint8_t pad[6];
-};
-
-struct FileCloser
-{
-    void operator()(std::FILE *f) const { std::fclose(f); }
-};
-
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-
-} // namespace
 
 LlcTrace::LlcTrace(std::vector<LlcAccess> accesses)
     : accesses_(std::move(accesses))
@@ -63,62 +27,6 @@ LlcTrace::distinctLines(unsigned line_bits) const
     for (const auto &a : accesses_)
         lines.insert(a.address >> line_bits);
     return lines.size();
-}
-
-void
-LlcTrace::save(const std::string &path) const
-{
-    FilePtr f(std::fopen(path.c_str(), "wb"));
-    if (!f)
-        util::fatal("cannot open '{}' for writing", path);
-
-    FileHeader hdr{kMagic, kVersion, 0, accesses_.size()};
-    if (std::fwrite(&hdr, sizeof(hdr), 1, f.get()) != 1)
-        util::fatal("short write on '{}'", path);
-
-    for (const auto &a : accesses_) {
-        FileRecord rec{};
-        rec.pc = a.pc;
-        rec.address = a.address;
-        rec.type = static_cast<uint8_t>(a.type);
-        rec.cpu = a.cpu;
-        if (std::fwrite(&rec, sizeof(rec), 1, f.get()) != 1)
-            util::fatal("short write on '{}'", path);
-    }
-}
-
-LlcTrace
-LlcTrace::load(const std::string &path)
-{
-    FilePtr f(std::fopen(path.c_str(), "rb"));
-    if (!f)
-        util::fatal("cannot open '{}' for reading", path);
-
-    FileHeader hdr{};
-    if (std::fread(&hdr, sizeof(hdr), 1, f.get()) != 1)
-        util::fatal("cannot read header from '{}'", path);
-    if (hdr.magic != kMagic)
-        util::fatal("'{}' is not an LLC trace file", path);
-    if (hdr.version != kVersion)
-        util::fatal("'{}': unsupported trace version {}", path,
-                    hdr.version);
-
-    std::vector<LlcAccess> accesses;
-    accesses.reserve(hdr.count);
-    for (uint64_t i = 0; i < hdr.count; ++i) {
-        FileRecord rec{};
-        if (std::fread(&rec, sizeof(rec), 1, f.get()) != 1)
-            util::fatal("truncated trace file '{}'", path);
-        if (rec.type >= kNumAccessTypes)
-            util::fatal("corrupt access type in '{}'", path);
-        LlcAccess a;
-        a.pc = rec.pc;
-        a.address = rec.address;
-        a.type = static_cast<AccessType>(rec.type);
-        a.cpu = rec.cpu;
-        accesses.push_back(a);
-    }
-    return LlcTrace(std::move(accesses));
 }
 
 } // namespace rlr::trace

@@ -1,18 +1,16 @@
 /**
  * @file
- * In-memory LLC access traces and a compact binary file format.
+ * In-memory LLC access traces.
  *
  * The paper's flow captures (PC, access type, address) tuples at the
  * LLC under an LRU policy and feeds them to an offline simulator for
- * RL training and the Belady oracle. LlcTrace is that capture; the
- * file format lets experiments reuse captures across binaries.
+ * RL training and the Belady oracle. LlcTrace is that capture.
  */
 
 #ifndef RLR_TRACE_TRACE_IO_HH
 #define RLR_TRACE_TRACE_IO_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "trace/record.hh"
@@ -43,12 +41,6 @@ class LlcTrace
 
     /** Number of distinct cache-line addresses. */
     uint64_t distinctLines(unsigned line_bits = 6) const;
-
-    /** Serialize to a binary file; calls fatal() on I/O error. */
-    void save(const std::string &path) const;
-
-    /** Load from a binary file; calls fatal() on error. */
-    static LlcTrace load(const std::string &path);
 
   private:
     std::vector<LlcAccess> accesses_;

@@ -1,5 +1,7 @@
 #include "util/args.hh"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include "util/format.hh"
 #include <iostream>
@@ -8,6 +10,57 @@
 
 namespace rlr::util
 {
+
+namespace
+{
+
+/** Whether a strto*() call consumed all of a non-empty @p text
+ *  (no leading blanks, no leftovers) without overflow. */
+bool
+parsedWhole(const std::string &text, const char *end)
+{
+    return !text.empty() &&
+           !std::isspace(static_cast<unsigned char>(text[0])) &&
+           end == text.c_str() + text.size() && errno != ERANGE;
+}
+
+int64_t
+parseInt(const std::string &text, std::string_view what)
+{
+    errno = 0;
+    char *end = nullptr;
+    const long long v = std::strtoll(text.c_str(), &end, 0);
+    if (!parsedWhole(text, end))
+        fatal("{}: expected an integer, got '{}'", what, text);
+    return v;
+}
+
+double
+parseDouble(const std::string &text, std::string_view what)
+{
+    errno = 0;
+    char *end = nullptr;
+    const double v = std::strtod(text.c_str(), &end);
+    if (!parsedWhole(text, end))
+        fatal("{}: expected a number, got '{}'", what, text);
+    return v;
+}
+
+} // namespace
+
+uint64_t
+parseUint(const std::string &text, std::string_view what,
+          uint64_t max)
+{
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long v = std::strtoull(text.c_str(), &end, 0);
+    if (!parsedWhole(text, end) || text[0] == '-')
+        fatal("{}: expected an unsigned integer, got '{}'", what, text);
+    if (v > max)
+        fatal("{}: {} exceeds the maximum {}", what, text, max);
+    return v;
+}
 
 ArgParser::ArgParser(std::string description)
     : description_(std::move(description))
@@ -83,19 +136,19 @@ ArgParser::get(const std::string &name) const
 int64_t
 ArgParser::getInt(const std::string &name) const
 {
-    return std::strtoll(get(name).c_str(), nullptr, 0);
+    return parseInt(get(name), format("option '--{}'", name));
 }
 
 uint64_t
 ArgParser::getUint(const std::string &name) const
 {
-    return std::strtoull(get(name).c_str(), nullptr, 0);
+    return parseUint(get(name), format("option '--{}'", name));
 }
 
 double
 ArgParser::getDouble(const std::string &name) const
 {
-    return std::strtod(get(name).c_str(), nullptr);
+    return parseDouble(get(name), format("option '--{}'", name));
 }
 
 bool

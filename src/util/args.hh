@@ -11,10 +11,19 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace rlr::util
 {
+
+/**
+ * Strict unsigned parsing for option values and spec items: all of
+ * @p text must parse (base 0, so 0x hex works), carry no '-', and
+ * not exceed @p max, else fatal() with a message naming @p what.
+ */
+uint64_t parseUint(const std::string &text, std::string_view what,
+                   uint64_t max = UINT64_MAX);
 
 /** Declarative argument registry + parser. */
 class ArgParser
@@ -37,6 +46,9 @@ class ArgParser
     bool parse(int argc, const char *const *argv);
 
     std::string get(const std::string &name) const;
+
+    /** Numeric option values, parsed as strictly as parseUint()
+     *  (getInt() and getDouble() accept a sign). */
     int64_t getInt(const std::string &name) const;
     uint64_t getUint(const std::string &name) const;
     double getDouble(const std::string &name) const;

@@ -77,20 +77,6 @@ Histogram::quantile(double q) const
     return buckets_.size() * width_;
 }
 
-double
-Histogram::fractionBetween(uint64_t lo, uint64_t hi) const
-{
-    if (count_ == 0)
-        return 0.0;
-    uint64_t acc = 0;
-    for (size_t i = 0; i < buckets_.size(); ++i) {
-        const uint64_t b_lo = i * width_;
-        if (b_lo >= lo && b_lo <= hi)
-            acc += buckets_[i];
-    }
-    return static_cast<double>(acc) / static_cast<double>(count_);
-}
-
 std::string
 Histogram::render(size_t max_width) const
 {

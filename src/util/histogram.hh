@@ -44,9 +44,6 @@ class Histogram
     size_t numBuckets() const { return buckets_.size(); }
     uint64_t bucketWidth() const { return width_; }
 
-    /** Fraction of samples with value in [lo, hi] (bucket granular). */
-    double fractionBetween(uint64_t lo, uint64_t hi) const;
-
     /** Render as an ASCII bar chart (for bench output). */
     std::string render(size_t max_width = 50) const;
 

@@ -1,6 +1,5 @@
 #include "util/logging.hh"
 
-#include <atomic>
 #include <mutex>
 
 namespace rlr::util
@@ -8,8 +7,6 @@ namespace rlr::util
 
 namespace
 {
-
-std::atomic<bool> quiet{false};
 
 /** Serializes every stderr write (messages and status line), so
  *  concurrent workers never interleave mid-line. */
@@ -33,19 +30,19 @@ paintStatusLocked()
         std::cerr << status_line << std::flush;
 }
 
+} // namespace
+
 void
-defaultHook(LogLevel level, std::string_view msg)
+logMessage(LogLevel level, std::string_view msg)
 {
     std::scoped_lock lock(io_mutex);
     eraseStatusLocked();
     switch (level) {
       case LogLevel::Info:
-        if (!quiet.load(std::memory_order_relaxed))
-            std::cerr << "info: " << msg << '\n';
+        std::cerr << "info: " << msg << '\n';
         break;
       case LogLevel::Warn:
-        if (!quiet.load(std::memory_order_relaxed))
-            std::cerr << "warn: " << msg << '\n';
+        std::cerr << "warn: " << msg << '\n';
         break;
       case LogLevel::Fatal:
         std::cerr << "fatal: " << msg << '\n';
@@ -55,34 +52,6 @@ defaultHook(LogLevel level, std::string_view msg)
         break;
     }
     paintStatusLocked();
-}
-
-std::atomic<LogHook> current_hook{&defaultHook};
-
-} // namespace
-
-LogHook
-setLogHook(LogHook hook)
-{
-    return current_hook.exchange(hook ? hook : &defaultHook);
-}
-
-void
-logMessage(LogLevel level, std::string_view msg)
-{
-    current_hook.load()(level, msg);
-}
-
-void
-setLogQuiet(bool q)
-{
-    quiet.store(q, std::memory_order_relaxed);
-}
-
-bool
-logQuiet()
-{
-    return quiet.load(std::memory_order_relaxed);
 }
 
 void

@@ -25,28 +25,15 @@ namespace rlr::util
 enum class LogLevel { Info, Warn, Fatal, Panic };
 
 /**
- * Sink invoked for every log message. Replaceable for testing.
- * Returning from the hook on Fatal/Panic is not allowed; the default
- * hook exits/aborts after printing.
+ * Print a message to stderr with its level prefix. Returns even
+ * for Fatal/Panic; the callers below exit/abort after it.
  */
-using LogHook = void (*)(LogLevel, std::string_view);
-
-/** Install a custom log hook; returns the previous hook. */
-LogHook setLogHook(LogHook hook);
-
-/** Emit a formatted message through the current hook. */
 void logMessage(LogLevel level, std::string_view msg);
-
-/** Squelch (or restore) Info/Warn output; Fatal/Panic always print. */
-void setLogQuiet(bool quiet);
-
-/** @return true when Info/Warn output is suppressed. */
-bool logQuiet();
 
 /**
  * Publish/refresh a single sticky stderr status line (the sweep
  * progress display). The line stays put while log messages flow:
- * the default hook erases it, prints the message, and repaints it,
+ * logMessage erases it, prints the message, and repaints it,
  * so worker output never interleaves mid-line. Serialized with
  * logMessage by the same mutex.
  */

@@ -63,14 +63,6 @@ Rng::nextBounded(uint64_t bound)
     }
 }
 
-int64_t
-Rng::nextRange(int64_t lo, int64_t hi)
-{
-    ensure(lo <= hi, "Rng::nextRange: inverted range");
-    return lo + static_cast<int64_t>(
-        nextBounded(static_cast<uint64_t>(hi - lo) + 1));
-}
-
 double
 Rng::nextDouble()
 {
@@ -85,16 +77,6 @@ Rng::chance(double p)
     if (p >= 1.0)
         return true;
     return nextDouble() < p;
-}
-
-uint64_t
-Rng::nextGeometric(double p)
-{
-    ensure(p > 0.0 && p <= 1.0, "Rng::nextGeometric: bad p");
-    if (p >= 1.0)
-        return 0;
-    const double u = 1.0 - nextDouble(); // in (0, 1]
-    return static_cast<uint64_t>(std::log(u) / std::log1p(-p));
 }
 
 Rng

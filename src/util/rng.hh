@@ -35,17 +35,11 @@ class Rng
     /** @return uniform integer in [0, bound) ; bound must be > 0. */
     uint64_t nextBounded(uint64_t bound);
 
-    /** @return uniform integer in [lo, hi] inclusive. */
-    int64_t nextRange(int64_t lo, int64_t hi);
-
     /** @return uniform double in [0, 1). */
     double nextDouble();
 
     /** @return true with probability @p p. */
     bool chance(double p);
-
-    /** @return geometric sample: number of failures before success. */
-    uint64_t nextGeometric(double p);
 
     /** Fisher-Yates shuffle of a vector. */
     template <typename T>

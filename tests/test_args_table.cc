@@ -62,9 +62,53 @@ TEST(Args, NumericParsing)
     ArgParser p("test");
     p.addOption("u", "0", "");
     p.addOption("d", "0", "");
-    ASSERT_TRUE(parse(p, {"--u", "12345678901", "--d", "2.5"}));
+    p.addOption("hex", "0", "");
+    p.addOption("i", "0", "");
+    ASSERT_TRUE(parse(p, {"--u", "12345678901", "--d", "2.5",
+                          "--hex=0x10", "--i=-7"}));
     EXPECT_EQ(p.getUint("u"), 12345678901ULL);
     EXPECT_DOUBLE_EQ(p.getDouble("d"), 2.5);
+    EXPECT_EQ(p.getUint("hex"), 16u);
+    EXPECT_EQ(p.getInt("i"), -7);
+}
+
+TEST(ArgsDeathTest, NumericOptionMustParseWhole)
+{
+    ArgParser p("test");
+    p.addOption("instructions", "0", "");
+    p.addOption("threads", "0", "");
+    p.addOption("lease-ttl", "0", "");
+    p.addOption("seed", "0", "");
+    ASSERT_TRUE(parse(p, {"--instructions=1e6", "--threads=abc",
+                          "--lease-ttl=2s", "--seed="}));
+    EXPECT_EXIT(p.getUint("instructions"), ::testing::ExitedWithCode(1),
+                "option '--instructions'.*'1e6'");
+    EXPECT_EXIT(p.getInt("threads"), ::testing::ExitedWithCode(1),
+                "option '--threads'.*'abc'");
+    EXPECT_EXIT(p.getDouble("lease-ttl"), ::testing::ExitedWithCode(1),
+                "option '--lease-ttl'.*'2s'");
+    EXPECT_EXIT(p.getUint("seed"), ::testing::ExitedWithCode(1),
+                "option '--seed'");
+}
+
+TEST(ArgsDeathTest, UnsignedOptionRejectsSignAndOverflow)
+{
+    ArgParser p("test");
+    p.addOption("workers", "0", "");
+    p.addOption("warmup", "0", "");
+    p.addOption("offset", "0", "");
+    p.addOption("ratio", "0", "");
+    ASSERT_TRUE(parse(p, {"--workers=-1", "--warmup=18446744073709551616",
+                          "--offset=9223372036854775808",
+                          "--ratio=1e400"}));
+    EXPECT_EXIT(p.getUint("workers"), ::testing::ExitedWithCode(1),
+                "option '--workers'.*'-1'");
+    EXPECT_EXIT(p.getUint("warmup"), ::testing::ExitedWithCode(1),
+                "option '--warmup'");
+    EXPECT_EXIT(p.getInt("offset"), ::testing::ExitedWithCode(1),
+                "option '--offset'");
+    EXPECT_EXIT(p.getDouble("ratio"), ::testing::ExitedWithCode(1),
+                "option '--ratio'");
 }
 
 TEST(Args, ListSplitting)

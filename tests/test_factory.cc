@@ -79,3 +79,16 @@ TEST(FactoryDeathTest, BadRlrSpecIsFatal)
     EXPECT_EXIT(makePolicy("RLR:banana=1"),
                 ::testing::ExitedWithCode(1), "unknown RLR");
 }
+
+TEST(FactoryDeathTest, BadRlrSpecValueIsFatal)
+{
+    EXPECT_EXIT(makePolicy("RLR:opt=yes"), ::testing::ExitedWithCode(1),
+                "RLR spec item 'opt=yes'");
+    EXPECT_EXIT(makePolicy("RLR:rdmul=4x"), ::testing::ExitedWithCode(1),
+                "RLR spec item 'rdmul=4x'");
+    EXPECT_EXIT(makePolicy("RLR:age=4294967297"),
+                ::testing::ExitedWithCode(1),
+                "RLR spec item 'age=4294967297'");
+    EXPECT_EXIT(makePolicy("RLR:hit=-1"), ::testing::ExitedWithCode(1),
+                "RLR spec item 'hit=-1'");
+}

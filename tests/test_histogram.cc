@@ -47,15 +47,6 @@ TEST(Histogram, Quantile)
     EXPECT_NEAR(static_cast<double>(h.quantile(0.9)), 90.0, 2.0);
 }
 
-TEST(Histogram, FractionBetween)
-{
-    Histogram h(10, 10);
-    for (uint64_t v = 0; v < 100; v += 10)
-        h.sample(v);
-    EXPECT_DOUBLE_EQ(h.fractionBetween(0, 49), 0.5);
-    EXPECT_DOUBLE_EQ(h.fractionBetween(0, 99), 1.0);
-}
-
 TEST(Histogram, MergeAccumulates)
 {
     Histogram a(4, 1), b(4, 1);

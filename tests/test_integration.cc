@@ -6,6 +6,7 @@
 #include "ml/offline.hh"
 #include "policies/belady.hh"
 #include "sim/experiment.hh"
+#include "sim/sweep_runner.hh"
 #include "tests/policy_test_util.hh"
 #include "trace/workloads.hh"
 #include "util/rng.hh"
@@ -97,9 +98,15 @@ TEST(Integration, SweepInvariantToThreadCount)
     const std::vector<std::string> workloads = {"445.gobmk",
                                                 "416.gamess"};
     const std::vector<std::string> policies = {"LRU", "RLR"};
-    const auto serial = sim::sweep(workloads, policies, quick(), 1);
-    const auto parallel =
-        sim::sweep(workloads, policies, quick(), 4);
+    const auto runWith = [&](size_t threads) {
+        sim::SweepOptions opts;
+        opts.threads = threads;
+        return sim::SweepRunner(quick(), opts).run(workloads, policies);
+    };
+    const auto serial = runWith(1);
+    const auto parallel = runWith(4);
+    ASSERT_FALSE(sim::SweepRunner::anyFailed(serial));
+    ASSERT_FALSE(sim::SweepRunner::anyFailed(parallel));
     ASSERT_EQ(serial.size(), parallel.size());
     for (const auto &w : workloads) {
         for (const auto &p : policies) {

@@ -35,21 +35,6 @@ TEST(Rng, BoundedStaysInBounds)
     }
 }
 
-TEST(Rng, RangeInclusive)
-{
-    Rng rng(7);
-    bool saw_lo = false, saw_hi = false;
-    for (int i = 0; i < 2000; ++i) {
-        const int64_t v = rng.nextRange(-3, 3);
-        EXPECT_GE(v, -3);
-        EXPECT_LE(v, 3);
-        saw_lo |= v == -3;
-        saw_hi |= v == 3;
-    }
-    EXPECT_TRUE(saw_lo);
-    EXPECT_TRUE(saw_hi);
-}
-
 TEST(Rng, DoubleInUnitInterval)
 {
     Rng rng(11);
@@ -138,14 +123,3 @@ TEST(Zipf, SamplesWithinRange)
         EXPECT_LT(zipf.sample(rng), 10u);
 }
 
-TEST(Rng, GeometricMeanApproximation)
-{
-    Rng rng(21);
-    const double p = 0.25;
-    double sum = 0.0;
-    const int n = 20000;
-    for (int i = 0; i < n; ++i)
-        sum += static_cast<double>(rng.nextGeometric(p));
-    // E[failures before success] = (1-p)/p = 3.
-    EXPECT_NEAR(sum / n, 3.0, 0.2);
-}

@@ -52,18 +52,6 @@ TEST(StatSet, DumpFormat)
     EXPECT_EQ(s.dump(), "core.cycles 10\n");
 }
 
-TEST(RunningStat, Moments)
-{
-    RunningStat r;
-    for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        r.sample(v);
-    EXPECT_EQ(r.count(), 8u);
-    EXPECT_DOUBLE_EQ(r.mean(), 5.0);
-    EXPECT_NEAR(r.variance(), 4.571, 0.01);
-    EXPECT_DOUBLE_EQ(r.min(), 2.0);
-    EXPECT_DOUBLE_EQ(r.max(), 9.0);
-}
-
 TEST(Derived, SafeDiv)
 {
     EXPECT_DOUBLE_EQ(safeDiv(4, 2), 2.0);

@@ -1,4 +1,4 @@
-/** @file Tests for trace records, file I/O, and workload catalog. */
+/** @file Tests for trace records, LLC traces, and workload catalog. */
 
 #include <gtest/gtest.h>
 
@@ -36,23 +36,6 @@ TEST(LlcTraceTest, CountsAndDistinct)
     EXPECT_EQ(trace.countType(AccessType::Load), 2u);
     EXPECT_EQ(trace.countType(AccessType::Prefetch), 1u);
     EXPECT_EQ(trace.distinctLines(), 2u);
-}
-
-TEST(LlcTraceTest, SaveLoadRoundTrip)
-{
-    LlcTrace trace;
-    for (uint64_t i = 0; i < 100; ++i) {
-        trace.append({0x400 + i, 0x10000 + 64 * i,
-                      static_cast<AccessType>(i % 4),
-                      static_cast<uint8_t>(i % 4)});
-    }
-    const std::string path = ::testing::TempDir() + "trace.bin";
-    trace.save(path);
-    const LlcTrace loaded = LlcTrace::load(path);
-    ASSERT_EQ(loaded.size(), trace.size());
-    for (size_t i = 0; i < trace.size(); ++i)
-        EXPECT_TRUE(loaded[i] == trace[i]) << "record " << i;
-    std::remove(path.c_str());
 }
 
 TEST(Workloads, CatalogSizes)
